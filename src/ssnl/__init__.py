@@ -6,25 +6,20 @@ stratified splitting with patch extraction and geometric augmentation, the
 bidirectional spectral + spatial patch classifier, Adam training with
 cross-entropy, confusion-matrix metrics (OA/AA/kappa), an exact
 parameter/MAC complexity accountant, and a scripting CLI.
+
+The package namespace holds the documented workflow; every other name is
+reachable through its submodule (``ssnl.data``, ``ssnl.model``, ...).
 """
 
 from . import autodiff
-from .autodiff import Tensor, grad_check
 from .complexity import (
     count_params,
     estimate_flops,
     family_comparison,
-    macs_per_patch,
     param_bytes,
     render_complexity_report,
 )
 from .data import (
-    HsiCube,
-    LabelRaster,
-    Patch,
-    SplitSpec,
-    augment,
-    extract_patch,
     extract_window,
     load_cube,
     load_labels,
@@ -34,91 +29,32 @@ from .data import (
     write_cube,
     write_labels,
 )
-from .metrics import (
-    ConfusionMatrix,
-    average_accuracy,
-    kappa,
-    overall_accuracy,
-    render_report,
-)
-from .model import (
-    ForwardTrace,
-    ModelConfig,
-    ModelParams,
-    bi_network_forward,
-    init_model,
-    load_model,
-    model_forward,
-    normalize_input,
-    predict,
-    project,
-    reverse_spectral,
-    save_model,
-    spatial_forward,
-)
-from .render import class_palette, render_class_map, write_ppm
-from .train import (
-    AdamState,
-    TrainConfig,
-    TrainReport,
-    adam_step,
-    cross_entropy,
-    evaluate,
-    gradient_check_model,
-    serialize_report,
-    train,
-)
+from .metrics import render_report
+from .model import ModelConfig, load_model, predict, save_model
+from .render import render_class_map, write_ppm
+from .train import TrainConfig, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "ConfusionMatrix",
-    "ForwardTrace",
-    "HsiCube",
-    "LabelRaster",
     "ModelConfig",
-    "ModelParams",
-    "Patch",
-    "SplitSpec",
-    "Tensor",
     "TrainConfig",
-    "TrainReport",
-    "adam_step",
-    "augment",
     "autodiff",
-    "average_accuracy",
-    "bi_network_forward",
-    "class_palette",
     "count_params",
-    "cross_entropy",
     "estimate_flops",
     "evaluate",
-    "extract_patch",
     "extract_window",
     "family_comparison",
-    "grad_check",
-    "gradient_check_model",
-    "init_model",
-    "kappa",
     "load_cube",
     "load_labels",
     "load_model",
-    "macs_per_patch",
-    "model_forward",
-    "normalize_input",
-    "overall_accuracy",
     "param_bytes",
     "predict",
-    "project",
     "render_class_map",
     "render_complexity_report",
     "render_report",
-    "reverse_spectral",
     "save_model",
     "scale_bands",
-    "serialize_report",
-    "spatial_forward",
     "split_samples",
     "synthesize_cube",
     "train",

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, field, fields, make_dataclass
 
 import numpy as np
 
 from .complexity import render_complexity_report
 from .data import (
+    extract_window,
     load_cube,
     load_labels,
     scale_bands,
@@ -37,7 +38,7 @@ from .errors import (
     ShapeError,
 )
 from .metrics import render_report
-from .model import ModelConfig, load_model, predict, save_model
+from .model import ModelConfig, load_model, parse_field, predict, save_model
 from .render import render_class_map, write_ppm
 from .train import (
     TrainConfig,
@@ -54,66 +55,19 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Every tunable of a run as flat key=value entries."""
-
-    # model
-    bands: int | None = None          # default: taken from the cube header
-    num_classes: int | None = None    # default: taken from the label raster
-    patch_size: int = 5
-    hidden_dim: int = 64
-    seq_kernel: int = 3
-    spatial_channels: int = 32
-    spatial_kernel: int = 3
-    classifier_hidden: int = 128
-    activation: str = "silu"
-    forward_on: bool = True
-    backward_on: bool = True
-    spatial_on: bool = True
-    # training
-    batch_size: int = 32
-    learning_rate: float = 5e-4
-    epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    augment: bool = True
-    record_interval: int = 1
-    early_stop: bool = False
-    patience: int = 20
-    min_delta: float = 1e-5
-    clip_norm: float | None = None
-    # splitting
-    ratio: float = 0.10
-    split_seed: int | None = None     # default: same as seed
+class _RunConfigMethods:
+    """Behaviour of RunConfig, whose fields are made below from ModelConfig and
+    TrainConfig, so each default is written once, in its own dataclass."""
 
     def set_key(self, key: str, raw: str, where: str = "flag"):
+        f = next((f for f in fields(self) if f.name == key), None)
+        if f is None:
+            raise UsageError(f"{where}: unknown configuration key {key!r}")
         try:
-            f = next(f for f in fields(self) if f.name == key)
-        except StopIteration:
-            raise UsageError(f"{where}: unknown configuration key {key!r}") from None
-        text = raw.strip()
-        if f.name == "activation":
-            self.activation = text
-            return
-        if f.name == "clip_norm":
-            self.clip_norm = None if text.lower() == "none" else float(text)
-            return
-        kind = f.type
-        try:
-            if "bool" in kind:
-                if text.lower() not in ("0", "1", "true", "false"):
-                    raise ValueError(text)
-                value = text.lower() in ("1", "true")
-            elif "float" in kind:
-                value = float(text)
-            else:
-                value = int(text)
+            value = parse_field(f, raw.strip())
         except ValueError:
             raise UsageError(f"{where}: bad value {raw!r} for key {key!r}") from None
-        setattr(self, f.name, value)
+        setattr(self, key, value)
 
     def read_file(self, path):
         try:
@@ -143,37 +97,31 @@ class RunConfig:
     def model_config(self) -> ModelConfig:
         if self.bands is None or self.num_classes is None:
             raise ConfigError("bands and num_classes must be resolved before use")
-        return ModelConfig(
-            bands=self.bands,
-            num_classes=self.num_classes,
-            patch_size=self.patch_size,
-            hidden_dim=self.hidden_dim,
-            seq_kernel=self.seq_kernel,
-            spatial_channels=self.spatial_channels,
-            spatial_kernel=self.spatial_kernel,
-            classifier_hidden=self.classifier_hidden,
-            activation=self.activation,
-            forward_on=self.forward_on,
-            backward_on=self.backward_on,
-            spatial_on=self.spatial_on,
-        )
+        return self._build(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            seed=self.seed,
-            augment=self.augment,
-            record_interval=self.record_interval,
-            early_stop=self.early_stop,
-            patience=self.patience,
-            min_delta=self.min_delta,
-            clip_norm=self.clip_norm,
-        )
+        return self._build(TrainConfig)
+
+    def _build(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
+
+def _run_field(f):
+    if f.default is MISSING:  # bands, num_classes: taken from the cube and labels
+        return f.name, f"{f.type} | None", field(default=None)
+    return f.name, f.type, field(default=f.default)
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [_run_field(f) for f in fields(ModelConfig) + fields(TrainConfig)]
+    + [("ratio", "float", field(default=0.10)),
+       ("split_seed", "int | None", field(default=None))],  # None: same as seed
+    bases=(_RunConfigMethods,),
+    namespace={"__module__": __name__,
+               "__doc__": "Every tunable of a run as flat key=value entries: the "
+                          "ModelConfig and TrainConfig fields, then the split's."},
+)
 
 
 def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
@@ -263,13 +211,11 @@ def cmd_map(args) -> int:
         raise ShapeError(
             f"model expects {config.bands} bands but cube has {cube.bands}"
         )
-    from .data import extract_window
-
     ids = np.zeros((cube.rows, cube.cols), dtype=np.int64)
     for row in range(cube.rows):
         for col in range(cube.cols):
             window = extract_window(cube, row, col, config.patch_size)
-            ids[row, col] = predict(window.astype(params.dtype), params, config)
+            ids[row, col] = predict(window, params, config)
     image = render_class_map(ids, config.num_classes)
     comment = f"cube={args.cube} model={args.model} classes={config.num_classes}"
     write_ppm(args.out_image, image, comment=comment)
@@ -348,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--cube", required=True)
     ev.add_argument("--labels", required=True)
     ev.add_argument("--model", required=True)
-    ev.add_argument("--ratio", type=float, default=0.10)
-    ev.add_argument("--split-seed", type=int, default=0)
+    ev.add_argument("--ratio", type=float, required=True)
+    ev.add_argument("--split-seed", type=int, required=True)
     ev.set_defaults(func=cmd_eval)
 
     mp = subs.add_parser("map", help="predict every pixel to a PPM image")

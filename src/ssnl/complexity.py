@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig
 
 
 def count_params(config: ModelConfig) -> int:
@@ -46,10 +46,6 @@ def count_params(config: ModelConfig) -> int:
 def param_bytes(config: ModelConfig) -> int:
     """Checkpoint payload size of the parameters at 32-bit precision."""
     return 4 * count_params(config)
-
-
-def params_match(config: ModelConfig, params: ModelParams) -> bool:
-    return count_params(config) == sum(t.size for _, t in params.named_tensors())
 
 
 def macs_per_patch(config: ModelConfig) -> int:

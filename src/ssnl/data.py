@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, HeaderError, MagicError, TruncatedError
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    HeaderError,
+    MagicError,
+    TruncatedError,
+)
 
 CUBE_MAGIC = b"HSICUBE1\n"
 LABEL_MAGIC = b"HSILBL1\n"
@@ -25,12 +32,13 @@ LABEL_MAGIC = b"HSILBL1\n"
 
 @dataclass
 class HsiCube:
-    """rows x cols x bands raster of reflectance values."""
+    """rows x cols x bands raster of reflectance values, stored as float32 like
+    the cube file and the model."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 3:
             raise ContractError(f"cube values must be 3-d, got shape {self.values.shape}")
 
@@ -72,16 +80,6 @@ class LabelRaster:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max())
-
-
-@dataclass
-class Patch:
-    """p x p x bands window labeled by its center pixel."""
-
-    center: tuple[int, int]
-    size: int
-    data: np.ndarray
-    label: int | None = None
 
 
 @dataclass
@@ -161,8 +159,9 @@ def load_cube(path) -> HsiCube:
     if len(payload) > expected:
         raise HeaderError(f"{path}: {len(payload) - expected} trailing bytes")
     flat = np.frombuffer(payload, dtype="<f4")
-    values = flat.reshape(bands, rows, cols).transpose(1, 2, 0).astype(np.float64)
-    return HsiCube(values)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: payload holds non-finite values")
+    return HsiCube(flat.reshape(bands, rows, cols).transpose(1, 2, 0))
 
 
 def write_labels(path, raster: LabelRaster) -> None:
@@ -273,10 +272,6 @@ def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
     return cube.values[np.ix_(r_idx, c_idx)].copy()
 
 
-def extract_patch(cube: HsiCube, row: int, col: int, p: int, label: int | None = None) -> Patch:
-    return Patch(center=(row, col), size=p, data=extract_window(cube, row, col, p), label=label)
-
-
 # -- augmentation --------------------------------------------------------------------
 
 
@@ -302,38 +297,32 @@ def _rotate_nearest(data: np.ndarray, degrees: float) -> np.ndarray:
     return data[src_r, src_c].copy()
 
 
-def augment(patch: Patch, diagonal_rotations: bool = True) -> list[Patch]:
-    """Geometric training variants of one patch, all keeping its label.
+def augment(window: np.ndarray) -> list[np.ndarray]:
+    """Geometric training variants of one p x p x bands window: the original,
+    45/90/135-degree rotations and horizontal/vertical flips — six arrays.
 
-    With diagonal rotations on (the default) the result is the original plus
-    45/90/135-degree rotations and horizontal/vertical flips — six patches.
     90-degree rotation and the flips are exact index permutations; the 45 and
     135-degree rotations resample nearest-neighbor with reflect fill.
     """
-    d = patch.data
-    if d.ndim != 3 or d.shape[0] != d.shape[1]:
-        raise ContractError(f"augment expects a square patch, got shape {d.shape}")
-
-    def mk(arr):
-        return Patch(center=patch.center, size=patch.size, data=arr, label=patch.label)
-
-    variants = [mk(d.copy())]
-    if diagonal_rotations:
-        variants.append(mk(_rotate_nearest(d, 45.0)))
-    variants.append(mk(np.rot90(d, k=1, axes=(0, 1)).copy()))
-    if diagonal_rotations:
-        variants.append(mk(_rotate_nearest(d, 135.0)))
-    variants.append(mk(d[:, ::-1].copy()))  # horizontal flip
-    variants.append(mk(d[::-1].copy()))     # vertical flip
-    return variants
+    if window.ndim != 3 or window.shape[0] != window.shape[1]:
+        raise ContractError(f"augment expects a square patch, got shape {window.shape}")
+    return [
+        window.copy(),
+        _rotate_nearest(window, 45.0),
+        np.rot90(window, k=1, axes=(0, 1)).copy(),
+        _rotate_nearest(window, 135.0),
+        window[:, ::-1].copy(),  # horizontal flip
+        window[::-1].copy(),     # vertical flip
+    ]
 
 
 # -- scaling -------------------------------------------------------------------------
 
 
 def scale_bands(cube: HsiCube) -> HsiCube:
-    """Per-band min-max scaling to [0,1]; a constant band maps to zeros."""
-    v = cube.values
+    """Per-band min-max scaling to [0,1]; a constant band maps to zeros.
+    The arithmetic runs in float64; the result is stored as float32."""
+    v = cube.values.astype(np.float64)
     lo = v.min(axis=(0, 1))
     hi = v.max(axis=(0, 1))
     span = hi - lo

@@ -43,9 +43,6 @@ class ConfusionMatrix:
     def add(self, truth: int, prediction: int, count: int = 1):
         self.counts[truth - 1, prediction - 1] += count
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
-
 
 def _counts(cm) -> np.ndarray:
     if isinstance(cm, ConfusionMatrix):

@@ -11,21 +11,25 @@ descriptor. The concatenated descriptor feeds a one-hidden-layer softmax
 classifier. Forward/backward/spatial branches can be disabled independently
 for ablations; the classifier is dimensioned at init from those flags.
 
+``model_forward`` returns the class probabilities and the logits; a caller that
+needs an intermediate value calls the stage it comes from (``normalize_input``,
+``bi_network_forward``, ``spatial_forward``).
+
 Checkpoint format: ASCII magic line ``SSNLCKPT1\\n``; one ASCII config line
-with all ModelConfig fields space-separated in field order (bools as 0/1);
+with all ModelConfig fields space-separated in field order (bools as 0/1),
+each read back by ``parse_field``, the same reader the CLI's ``--set`` uses;
 then every parameter tensor in ``ModelParams.named_tensors`` order, each as
 an ASCII shape line followed by little-endian 32-bit floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Patch
 from .errors import ConfigError, ContractError, MagicError, ShapeError, TruncatedError
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
@@ -50,8 +54,10 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be at least 1")
+        for name in ("bands", "hidden_dim", "seq_kernel", "spatial_channels",
+                     "spatial_kernel", "classifier_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be at least 2")
         if self.patch_size % 2 == 0 or self.patch_size < 1:
@@ -78,6 +84,23 @@ class ModelConfig:
         if self.spectral_on:
             dim += self.hidden_dim
         return dim
+
+
+def parse_field(f: Field, text: str):
+    """Read one config field from text by its declared type: ``int``,
+    ``float``, ``str``, ``bool`` (``0``/``1``/``true``/``false``), or
+    ``... | None``, which also reads ``none``. Raises ValueError on text the
+    type refuses."""
+    kind = str(f.type)
+    if kind.endswith(" | None"):
+        if text.lower() == "none":
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind == "bool":
+        if text.lower() not in ("0", "1", "true", "false"):
+            raise ValueError(f"not a bool: {text!r}")
+        return text.lower() in ("1", "true")
+    return {"int": int, "float": float, "str": str}[kind](text)
 
 
 @dataclass
@@ -116,24 +139,6 @@ class ModelParams:
     def zero_grads(self):
         for _, t in self.named_tensors():
             t.zero_grad()
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate activations of one forward pass."""
-
-    x_norm: Tensor
-    x_proj: Tensor | None
-    z_proj_reversed: Tensor | None
-    x_forward: Tensor | None
-    x_backward: Tensor | None
-    h_forward: Tensor | None
-    h_backward: Tensor | None
-    h_combined: Tensor
-    h_spatial: Tensor | None
-    h_final: Tensor
-    logits: Tensor
-    probabilities: Tensor
 
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -194,7 +199,7 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 
 
 def _patch_array(patch, config: ModelConfig, dtype) -> np.ndarray:
-    arr = patch.data if isinstance(patch, Patch) else np.asarray(patch)
+    arr = np.asarray(patch)
     if arr.shape != (config.patch_size, config.patch_size, config.bands):
         raise ShapeError(
             f"patch shape {arr.shape} does not match config "
@@ -212,21 +217,11 @@ def normalize_input(patch, params: ModelParams, config: ModelConfig,
     return ad.layer_norm(seq, params.norm_gain, params.norm_bias, eps=eps)
 
 
-def project(x_norm: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
-    """Linear projections of the normalized sequence for the two directions."""
-    return ad.matmul(x_norm, params.proj_fwd), ad.matmul(x_norm, params.proj_bwd)
-
-
-def reverse_spectral(z_proj: Tensor) -> Tensor:
-    """Reverse the sequence axis (axis 0)."""
-    return ad.flip(z_proj, axis=0)
-
-
 def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
-               config: ModelConfig) -> tuple[Tensor, Tensor]:
+               config: ModelConfig) -> Tensor:
     """One direction of the spectral block: depthwise conv over the sequence,
-    activation, additive delta modulation inside tanh. Returns the activated
-    conv output and the per-position hidden states, both (hidden, length)."""
+    activation, additive delta modulation inside tanh. Returns the
+    per-position hidden states, (hidden, length)."""
     length = seq.shape[0]
     channels_first = ad.transpose(seq, (1, 0))
     conv_out = ad.activation(config.activation, ad.conv1d(channels_first, kernel))
@@ -234,39 +229,24 @@ def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
     modulation = ad.matmul(mix, delta)              # (hidden,)
     expanded = ad.broadcast_to(ad.reshape(modulation, (config.hidden_dim, 1)),
                                (config.hidden_dim, length))
-    hidden = ad.tanh(ad.add(conv_out, expanded))
-    return conv_out, hidden
+    return ad.tanh(ad.add(conv_out, expanded))
 
 
-def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig,
-                       trace: ForwardTrace | None = None) -> Tensor:
+def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
     """Bidirectional spectral descriptor: mean-over-sequence of each enabled
     direction's hidden states, summed. A disabled direction contributes zeros."""
     d = config.hidden_dim
     zero = Tensor(np.zeros(d, dtype=x_norm.dtype))
     fwd_mean = bwd_mean = zero
-    x_proj = z_rev = x_fwd = x_bwd = h_fwd = h_bwd = None
     if config.forward_on:
         x_proj = ad.matmul(x_norm, params.proj_fwd)
-        x_fwd, h_fwd = _direction(x_proj, params.kernel_fwd, params.mix_fwd,
-                                  params, config)
+        h_fwd = _direction(x_proj, params.kernel_fwd, params.mix_fwd, params, config)
         fwd_mean = ad.mean(h_fwd, axis=1)
     if config.backward_on:
-        z_proj = ad.matmul(x_norm, params.proj_bwd)
-        z_rev = reverse_spectral(z_proj)
-        x_bwd, h_bwd = _direction(z_rev, params.kernel_bwd, params.mix_bwd,
-                                  params, config)
+        z_rev = ad.flip(ad.matmul(x_norm, params.proj_bwd), axis=0)
+        h_bwd = _direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config)
         bwd_mean = ad.mean(h_bwd, axis=1)
-    combined = ad.add(fwd_mean, bwd_mean)
-    if trace is not None:
-        trace.x_proj = x_proj
-        trace.z_proj_reversed = z_rev
-        trace.x_forward = x_fwd
-        trace.x_backward = x_bwd
-        trace.h_forward = h_fwd
-        trace.h_backward = h_bwd
-        trace.h_combined = combined
-    return combined
+    return ad.add(fwd_mean, bwd_mean)
 
 
 def spatial_forward(patch_norm_2d: Tensor, params: ModelParams,
@@ -284,26 +264,18 @@ def spatial_forward(patch_norm_2d: Tensor, params: ModelParams,
 
 
 def model_forward(patch, params: ModelParams,
-                  config: ModelConfig) -> tuple[Tensor, ForwardTrace]:
+                  config: ModelConfig) -> tuple[Tensor, Tensor]:
     """Full pass: normalize, bidirectional spectral block, spatial branch,
-    concatenation, one-hidden-layer classifier, softmax."""
+    concatenation, one-hidden-layer classifier. Returns the softmax
+    probabilities and the logits."""
     p = config.patch_size
     x_norm = normalize_input(patch, params, config)
-    trace = ForwardTrace(
-        x_norm=x_norm, x_proj=None, z_proj_reversed=None, x_forward=None,
-        x_backward=None, h_forward=None, h_backward=None,
-        h_combined=None, h_spatial=None, h_final=None, logits=None,
-        probabilities=None,
-    )
     parts = []
-    h_spatial = None
     if config.spatial_on:
         plane = ad.transpose(ad.reshape(x_norm, (p, p, config.bands)), (2, 0, 1))
-        h_spatial = spatial_forward(plane, params, config)
-        parts.append(h_spatial)
-    h_combined = bi_network_forward(x_norm, params, config, trace)
+        parts.append(spatial_forward(plane, params, config))
     if config.spectral_on:
-        parts.append(h_combined)
+        parts.append(bi_network_forward(x_norm, params, config))
     h_final = parts[0] if len(parts) == 1 else ad.concat(parts)
 
     hidden = ad.activation(
@@ -311,13 +283,7 @@ def model_forward(patch, params: ModelParams,
         ad.add(ad.matmul(params.classifier_w1, h_final), params.classifier_b1),
     )
     logits = ad.add(ad.matmul(params.classifier_w2, hidden), params.classifier_b2)
-    probs = ad.softmax(logits)
-
-    trace.h_spatial = h_spatial
-    trace.h_final = h_final
-    trace.logits = logits
-    trace.probabilities = probs
-    return probs, trace
+    return ad.softmax(logits), logits
 
 
 def predict(patch, params: ModelParams, config: ModelConfig) -> int:
@@ -348,16 +314,11 @@ def _parse_config_line(line: bytes, path: str) -> ModelConfig:
         raise ShapeError(f"{path}: config line has {len(parts)} fields, expected {len(names)}")
     kwargs = {}
     for f, raw in zip(fields(ModelConfig), parts):
-        text = raw.decode("ascii")
-        if f.type == "bool" or isinstance(f.default, bool):
-            kwargs[f.name] = text == "1"
-        elif f.name == "activation":
-            kwargs[f.name] = text
-        else:
-            try:
-                kwargs[f.name] = int(text)
-            except ValueError:
-                raise ShapeError(f"{path}: bad config field {f.name}={text!r}") from None
+        text = raw.decode("ascii", "replace")
+        try:
+            kwargs[f.name] = parse_field(f, text)
+        except ValueError:
+            raise ShapeError(f"{path}: bad config field {f.name}={text!r}") from None
     return ModelConfig(**kwargs)
 
 

@@ -7,13 +7,14 @@ trajectory is a pure function of (data, split, configs).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import HsiCube, LabelRaster, SplitSpec, augment, extract_patch
+from .data import HsiCube, LabelRaster, SplitSpec, augment, extract_window
 from .errors import ConfigError, ContractError, NumericalError
 from .metrics import ConfusionMatrix
 from .model import ModelConfig, ModelParams, init_model, model_forward, predict
@@ -29,7 +30,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     augment: bool = True
-    record_interval: int = 1      # progress-echo cadence; history records every epoch
     early_stop: bool = False
     patience: int = 20
     min_delta: float = 1e-5
@@ -38,10 +38,20 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and non-negative, "
+                              f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be at least 1, got {self.patience}")
 
 
 @dataclass
@@ -148,15 +158,14 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
 
 
 def _training_samples(cube: HsiCube, split: SplitSpec, config: ModelConfig,
-                      use_augment: bool, dtype) -> tuple[list[np.ndarray], list[int]]:
+                      use_augment: bool) -> tuple[list[np.ndarray], list[int]]:
     arrays: list[np.ndarray] = []
     labels: list[int] = []
     for cls, row, col in split.train_items():
-        patch = extract_patch(cube, row, col, config.patch_size, label=cls)
-        variants = augment(patch) if use_augment else [patch]
-        for var in variants:
-            arrays.append(var.data.astype(dtype))
-            labels.append(cls)
+        window = extract_window(cube, row, col, config.patch_size)
+        variants = augment(window) if use_augment else [window]
+        arrays.extend(variants)
+        labels.extend([cls] * len(variants))
     return arrays, labels
 
 
@@ -180,7 +189,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
 
     start = time.perf_counter()
     samples, sample_labels = _training_samples(
-        cube, split, model_config, train_config.augment, params.dtype
+        cube, split, model_config, train_config.augment
     )
     n = len(samples)
     best_loss = np.inf
@@ -195,8 +204,8 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
             params.zero_grads()
             total = None
             for idx in batch:
-                probs, trace = model_forward(samples[idx], params, model_config)
-                loss = cross_entropy(trace.logits, sample_labels[idx])
+                probs, logits = model_forward(samples[idx], params, model_config)
+                loss = cross_entropy(logits, sample_labels[idx])
                 total = loss if total is None else ad.add(total, loss)
                 if int(np.argmax(probs.data)) + 1 == sample_labels[idx]:
                     correct += 1
@@ -213,7 +222,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
         mean_loss = epoch_loss / n
         report.losses.append(mean_loss)
         report.train_accuracy.append(correct / n)
-        if verbose and (epoch + 1) % train_config.record_interval == 0:
+        if verbose:
             print(f"epoch {epoch + 1}: loss {mean_loss:.6f} "
                   f"train_oa {correct / n:.4f}")
         if train_config.early_stop:
@@ -254,8 +263,8 @@ def gradient_check_model(config: ModelConfig, seed: int, step: float = 1e-5) -> 
 
     def fn(*tensors):
         p = ModelParams(**dict(zip(names, tensors)))
-        _, trace = model_forward(patch, p, config)
-        return cross_entropy(trace.logits, label)
+        _, logits = model_forward(patch, p, config)
+        return cross_entropy(logits, label)
 
     return ad.grad_check(fn, leaves, step=step)
 
@@ -273,6 +282,6 @@ def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,
                 f"coordinate ({row},{col}) has class {truth} beyond the model's "
                 f"{config.num_classes} classes"
             )
-        window = extract_patch(cube, row, col, config.patch_size).data
-        cm.add(truth, predict(window.astype(params.dtype), params, config))
+        window = extract_window(cube, row, col, config.patch_size)
+        cm.add(truth, predict(window, params, config))
     return cm

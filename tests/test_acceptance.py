@@ -14,8 +14,6 @@ import pytest
 from ssnl import (
     ModelConfig,
     TrainConfig,
-    Patch,
-    augment,
     evaluate,
     scale_bands,
     split_samples,
@@ -24,6 +22,7 @@ from ssnl import (
 )
 from ssnl.cli import main
 from ssnl.complexity import estimate_flops, family_comparison, macs_per_patch
+from ssnl.data import augment
 from ssnl.metrics import average_accuracy, kappa, overall_accuracy
 from ssnl.train import gradient_check_model
 
@@ -225,20 +224,15 @@ def test_complexity_scaling():
 
 def test_augmentation_laws():
     rng = np.random.default_rng(3)
-    patch = Patch(center=(0, 0), size=5, data=rng.standard_normal((5, 5, 6)),
-                  label=1)
+    patch = rng.standard_normal((5, 5, 6))
     variants = augment(patch)
     assert len(variants) == 6
 
-    data = patch.data
+    data = patch
     for _ in range(4):
-        data = augment(Patch((0, 0), 5, data, 1))[2].data
-    np.testing.assert_array_equal(data, patch.data)
+        data = augment(data)[2]
+    np.testing.assert_array_equal(data, patch)
 
-    hflip = augment(patch)[4].data
-    np.testing.assert_array_equal(augment(Patch((0, 0), 5, hflip, 1))[4].data,
-                                  patch.data)
-    vflip = augment(patch)[5].data
-    np.testing.assert_array_equal(augment(Patch((0, 0), 5, vflip, 1))[5].data,
-                                  patch.data)
+    np.testing.assert_array_equal(augment(augment(patch)[4])[4], patch)
+    np.testing.assert_array_equal(augment(augment(patch)[5])[5], patch)
     _passed("augmentation laws (rot90^4 == id, flips involutive, count == 6)")

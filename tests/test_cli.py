@@ -1,8 +1,14 @@
+import argparse
+import struct
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
-from ssnl.cli import main
+from ssnl.cli import RunConfig, _resolve_run_config, main
 from ssnl.data import load_cube, load_labels
+from ssnl.model import ModelConfig
+from ssnl.train import TrainConfig
 from ssnl.render import class_color, class_palette, render_class_map, write_ppm
 
 
@@ -140,6 +146,33 @@ def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "bands=0", "hidden_dim=0", "seq_kernel=-1", "spatial_kernel=-3",
+    "spatial_channels=0", "classifier_hidden=0",
+    "beta1=1.0", "beta1=-0.1", "beta2=1", "adam_eps=0", "adam_eps=-1e-8",
+    "learning_rate=nan", "learning_rate=inf", "clip_norm=0", "clip_norm=-1",
+    "patience=0",
+])
+def test_train_out_of_range_config_is_contract_error(tmp_path, capsys, setting):
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    code = main(train_args(cube, labels, tmp_path / "m.ckpt", tmp_path / "r.txt",
+                           extra=["--set", setting]))
+    assert code == 3
+    assert "contract error" in capsys.readouterr().err
+
+
+def test_train_non_finite_cube_is_format_error(tmp_path, capsys):
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    raw = bytearray(cube.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    cube.write_bytes(bytes(raw))
+    code = main(train_args(cube, labels, tmp_path / "m.ckpt", tmp_path / "r.txt"))
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_train_config_file_with_line_numbered_error(tmp_path, capsys):
     argv, cube, labels = synth_args(tmp_path)
     main(argv)
@@ -190,7 +223,7 @@ def test_eval_repeated_invocations_identical(tmp_path, capsys):
     main(train_args(cube, labels, model, report))
     capsys.readouterr()
     args = ["eval", "--cube", str(cube), "--labels", str(labels),
-            "--model", str(model), "--ratio", "0.2"]
+            "--model", str(model), "--ratio", "0.2", "--split-seed", "0"]
     main(args)
     first = capsys.readouterr().out
     main(args)
@@ -210,8 +243,21 @@ def test_eval_band_mismatch_exits_nonzero(tmp_path, capsys):
           "--out-labels", str(tmp_path / "b7.lbl")])
     capsys.readouterr()
     code = main(["eval", "--cube", str(tmp_path / "b7.cube"),
-                 "--labels", str(tmp_path / "b7.lbl"), "--model", str(model)])
+                 "--labels", str(tmp_path / "b7.lbl"), "--model", str(model),
+                 "--ratio", "0.2", "--split-seed", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("missing", ["--ratio", "--split-seed"])
+def test_eval_requires_the_training_split(tmp_path, capsys, missing):
+    # no checkpoint records the training split, so eval must be told it
+    flags = {"--ratio": "0.2", "--split-seed": "0"}
+    del flags[missing]
+    code = main(["eval", "--cube", str(tmp_path / "a.cube"), "--labels",
+                 str(tmp_path / "a.lbl"), "--model", str(tmp_path / "a.ckpt"),
+                 *[tok for pair in flags.items() for tok in pair]])
+    assert code == 1
+    assert missing in capsys.readouterr().err
 
 
 # -- map ----------------------------------------------------------------------------
@@ -256,6 +302,71 @@ def test_map_constant_predictor_single_color(tmp_path):
     assert tuple(rgb[0]) == class_color(1, 3)
 
 
+def test_map_checkpoint_with_bad_bool_is_contract_error(tmp_path, capsys):
+    argv, cube, labels = synth_args(tmp_path, rows=5, cols=5)
+    main(argv)
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    main(train_args(cube, labels, model, report))
+    raw = model.read_bytes()
+    start = raw.index(b"\n") + 1
+    end = raw.index(b"\n", start)
+    config = raw[start:end].split()
+    assert config[-1] == b"1"  # spatial_on
+    model.write_bytes(raw[:start] + b" ".join(config[:-1] + [b"2"]) + raw[end:])
+    code = main(["map", "--cube", str(cube), "--model", str(model),
+                 "--out-image", str(tmp_path / "x.ppm")])
+    assert code == 3
+    assert "spatial_on" in capsys.readouterr().err
+
+
+# -- run configuration schema ----------------------------------------------------------
+
+
+def test_run_config_defaults_are_the_dataclass_defaults():
+    run = RunConfig()
+    schema = fields(ModelConfig) + fields(TrainConfig)
+    assert [f.name for f in fields(run)] == [f.name for f in schema] + ["ratio", "split_seed"]
+    for f in schema:
+        assert getattr(run, f.name) == (None if f.default is MISSING else f.default), f.name
+    assert run.train_config() == TrainConfig()
+    run.bands, run.num_classes = 6, 3
+    assert run.model_config() == ModelConfig(bands=6, num_classes=3)
+
+
+def test_every_run_field_round_trips_through_set():
+    changed = RunConfig(
+        bands=7, num_classes=5, patch_size=3, hidden_dim=6, seq_kernel=5,
+        spatial_channels=4, spatial_kernel=1, classifier_hidden=9, activation="tanh",
+        forward_on=False, backward_on=False, spatial_on=False, batch_size=7,
+        learning_rate=0.125, epochs=3, beta1=0.5, beta2=0.75, adam_eps=1e-6, seed=4,
+        augment=False, early_stop=True, patience=2, min_delta=0.001, clip_norm=2.5,
+        ratio=0.25, split_seed=11,
+    )
+    default = RunConfig()
+    for f in fields(RunConfig):
+        assert getattr(changed, f.name) != getattr(default, f.name), f.name
+    args = argparse.Namespace(set=changed.echo_lines())
+    parsed = _resolve_run_config(args)
+    for f in fields(RunConfig):
+        want, got = getattr(changed, f.name), getattr(parsed, f.name)
+        assert got == want and type(got) is type(want), f.name
+    # "none" reads back as None for optional fields
+    args = argparse.Namespace(set=["clip_norm=none", "split_seed=None", "bands=none"])
+    parsed = _resolve_run_config(args, RunConfig(clip_norm=1.0, split_seed=3, bands=4))
+    assert parsed.clip_norm is None and parsed.split_seed is None and parsed.bands is None
+
+
+@pytest.mark.parametrize("setting", ["augment=2", "augment=yes", "epochs=1.5",
+                                     "learning_rate=fast", "clip_norm=", "seed=none"])
+def test_set_rejects_text_the_field_type_refuses(tmp_path, capsys, setting):
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    code = main(train_args(cube, labels, tmp_path / "m.ckpt", tmp_path / "r.txt",
+                           extra=["--set", setting]))
+    assert code == 1
+    assert "bad value" in capsys.readouterr().err
+
+
 # -- complexity / gradcheck ------------------------------------------------------------
 
 
@@ -282,5 +393,6 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main(["eval", "--cube", str(tmp_path / "none.cube"),
                  "--labels", str(tmp_path / "none.lbl"),
-                 "--model", str(tmp_path / "none.ckpt")])
+                 "--model", str(tmp_path / "none.ckpt"),
+                 "--ratio", "0.1", "--split-seed", "0"])
     assert code == 2

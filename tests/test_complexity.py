@@ -8,7 +8,6 @@ from ssnl.complexity import (
     family_comparison,
     macs_per_patch,
     param_bytes,
-    params_match,
     render_complexity_report,
 )
 from ssnl.errors import ConfigError
@@ -37,7 +36,8 @@ def test_count_params_matches_allocated_tensors():
                       {"forward_on": False, "backward_on": False},
                       {"patch_size": 5, "bands": 12}):
         c = cfg(**overrides)
-        assert params_match(c, init_model(c, seed=0)), overrides
+        params = init_model(c, seed=0)
+        assert count_params(c) == sum(t.size for _, t in params.named_tensors()), overrides
 
 
 def test_count_params_matches_checkpoint_element_count(tmp_path):

@@ -7,9 +7,7 @@ import pytest
 from ssnl.data import (
     HsiCube,
     LabelRaster,
-    Patch,
     augment,
-    extract_patch,
     extract_window,
     load_cube,
     load_labels,
@@ -20,7 +18,14 @@ from ssnl.data import (
     write_cube,
     write_labels,
 )
-from ssnl.errors import ConfigError, ContractError, HeaderError, MagicError, TruncatedError
+from ssnl.errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    HeaderError,
+    MagicError,
+    TruncatedError,
+)
 
 
 # -- cube file format -------------------------------------------------------------
@@ -87,6 +92,26 @@ def test_cube_nonpositive_dimension(tmp_path):
     path.write_bytes(b"HSICUBE1\n0 2 2\n")
     with pytest.raises(HeaderError):
         load_cube(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cube_non_finite_payload_rejected(tmp_path, bad):
+    path = tmp_path / "nan.cube"
+    write_cube(path, HsiCube(np.ones((2, 2, 3))))
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_cube(path)
+
+
+def test_cube_values_are_float32(tmp_path):
+    cube = HsiCube(np.full((2, 2, 2), 0.1))
+    assert cube.values.dtype == np.float32
+    path = tmp_path / "f.cube"
+    write_cube(path, cube)
+    assert load_cube(path).values.dtype == np.float32
+    assert scale_bands(cube).values.dtype == np.float32
 
 
 def test_label_roundtrip_and_golden(tmp_path):
@@ -215,35 +240,35 @@ def test_split_rejects_bad_ratio():
 
 def test_patch_size_one_is_single_spectrum():
     cube, _ = synthesize_cube(4, 4, 5, 2, 0.0, seed=0)
-    patch = extract_patch(cube, 2, 3, 1)
-    np.testing.assert_array_equal(patch.data[0, 0], cube.values[2, 3])
+    patch = extract_window(cube, 2, 3, 1)
+    np.testing.assert_array_equal(patch[0, 0], cube.values[2, 3])
 
 
 def test_patch_center_pixel_matches_cube():
     cube, _ = synthesize_cube(6, 6, 4, 2, 0.2, seed=1)
-    patch = extract_patch(cube, 3, 2, 5)
-    np.testing.assert_array_equal(patch.data[2, 2], cube.values[3, 2])
+    patch = extract_window(cube, 3, 2, 5)
+    np.testing.assert_array_equal(patch[2, 2], cube.values[3, 2])
 
 
 def test_patch_corner_reflection():
     # mirror(i) = |i| for i < 0: corner (0,0) of a 2x2 cube reflects to (1,1)
     rng = np.random.default_rng(2)
     cube = HsiCube(rng.standard_normal((2, 2, 3)))
-    patch = extract_patch(cube, 0, 0, 3)
-    np.testing.assert_array_equal(patch.data[0, 0], cube.values[1, 1])
-    np.testing.assert_array_equal(patch.data[1, 1], cube.values[0, 0])
+    patch = extract_window(cube, 0, 0, 3)
+    np.testing.assert_array_equal(patch[0, 0], cube.values[1, 1])
+    np.testing.assert_array_equal(patch[1, 1], cube.values[0, 0])
 
 
 def test_patch_even_size_rejected():
     cube, _ = synthesize_cube(4, 4, 3, 2, 0.0, seed=0)
     with pytest.raises(ConfigError):
-        extract_patch(cube, 1, 1, 4)
+        extract_window(cube, 1, 1, 4)
 
 
 def test_patch_center_outside_rejected():
     cube, _ = synthesize_cube(4, 4, 3, 2, 0.0, seed=0)
     with pytest.raises(ContractError):
-        extract_patch(cube, 4, 0, 3)
+        extract_window(cube, 4, 0, 3)
 
 
 def test_reflect_indices_never_leave_raster():
@@ -256,75 +281,57 @@ def test_reflect_indices_never_leave_raster():
         assert idx.min() >= 0 and idx.max() < n
 
 
-def test_patch_label_recorded():
-    cube, labels = synthesize_cube(6, 6, 4, 3, 0.0, seed=0)
-    patch = extract_patch(cube, 4, 1, 3, label=int(labels.labels[4, 1]))
-    assert patch.label == labels.labels[4, 1]
-
-
 # -- augmentation -------------------------------------------------------------------
 
 
 def _random_patch(seed, p=5, bands=4):
-    rng = np.random.default_rng(seed)
-    return Patch(center=(0, 0), size=p, data=rng.standard_normal((p, p, bands)), label=1)
+    return np.random.default_rng(seed).standard_normal((p, p, bands))
 
 
 def test_augment_returns_six_variants():
-    variants = augment(_random_patch(0))
+    patch = _random_patch(0)
+    variants = augment(patch)
     assert len(variants) == 6
-    assert all(v.label == 1 for v in variants)
-
-
-def test_augment_without_diagonal_rotations():
-    variants = augment(_random_patch(1), diagonal_rotations=False)
-    assert len(variants) == 4
+    assert all(v.shape == patch.shape for v in variants)
 
 
 def test_rot90_four_times_is_identity():
     patch = _random_patch(2)
-    data = patch.data
+    data = patch
     for _ in range(4):
-        data = augment(Patch((0, 0), patch.size, data, 1))[2].data  # rot90 slot
-    np.testing.assert_array_equal(data, patch.data)
+        data = augment(data)[2]  # rot90 slot
+    np.testing.assert_array_equal(data, patch)
 
 
 def test_flips_are_involutions():
     patch = _random_patch(3)
-    hflip = augment(patch)[4].data
-    hflip2 = augment(Patch((0, 0), patch.size, hflip, 1))[4].data
-    np.testing.assert_array_equal(hflip2, patch.data)
-    vflip = augment(patch)[5].data
-    vflip2 = augment(Patch((0, 0), patch.size, vflip, 1))[5].data
-    np.testing.assert_array_equal(vflip2, patch.data)
+    hflip = augment(patch)[4]
+    np.testing.assert_array_equal(augment(hflip)[4], patch)
+    vflip = augment(patch)[5]
+    np.testing.assert_array_equal(augment(vflip)[5], patch)
 
 
 def test_exact_variants_preserve_value_multiset():
     patch = _random_patch(4)
     variants = augment(patch)
     for i in (2, 4, 5):  # rot90, hflip, vflip are exact permutations
-        np.testing.assert_array_equal(
-            np.sort(variants[i].data.ravel()), np.sort(patch.data.ravel())
-        )
+        np.testing.assert_array_equal(np.sort(variants[i].ravel()), np.sort(patch.ravel()))
 
 
 def test_constant_patch_invariant_under_all_variants():
-    patch = Patch((0, 0), 5, np.full((5, 5, 3), 2.5), label=2)
+    patch = np.full((5, 5, 3), 2.5)
     for variant in augment(patch):
-        np.testing.assert_array_equal(variant.data, patch.data)
+        np.testing.assert_array_equal(variant, patch)
 
 
 def test_augment_rejects_non_square():
-    patch = Patch((0, 0), 3, np.zeros((3, 5, 2)), label=1)
     with pytest.raises(ContractError):
-        augment(patch)
+        augment(np.zeros((3, 5, 2)))
 
 
 def test_augment_deterministic():
-    a = augment(_random_patch(6))
-    b = augment(_random_patch(6))
-    for va, vb in zip(a, b):
-        np.testing.assert_array_equal(va.data, vb.data)
+    for va, vb in zip(augment(_random_patch(6)), augment(_random_patch(6))):
+        np.testing.assert_array_equal(va, vb)
 
 
 # -- band scaling -------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ssnl import autodiff as ad
 from ssnl.autodiff import Tensor
-from ssnl.data import Patch
 from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError
 from ssnl.model import (
     ModelConfig,
+    _config_line,
+    _parse_config_line,
     ModelParams,
     bi_network_forward,
     expected_shapes,
@@ -17,8 +19,6 @@ from ssnl.model import (
     model_forward,
     normalize_input,
     predict,
-    project,
-    reverse_spectral,
     save_model,
     spatial_forward,
 )
@@ -47,6 +47,15 @@ def test_config_rejects_even_kernels():
         small_config(seq_kernel=2)
     with pytest.raises(ConfigError):
         small_config(spatial_kernel=4)
+
+
+@pytest.mark.parametrize("name", ["bands", "hidden_dim", "seq_kernel",
+                                  "spatial_channels", "spatial_kernel",
+                                  "classifier_hidden"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_sizes_below_one(name, value):
+    with pytest.raises(ConfigError, match=name):
+        small_config(**{name: value})
 
 
 def test_config_rejects_all_branches_off():
@@ -120,39 +129,73 @@ def test_normalize_two_band_formula():
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
 
 
+def _quiet_modulation(params):
+    # zero mix matrices and a hugely negative delta_raw (softplus -> exactly 0)
+    # reduce each direction to tanh(f(conv(projected sequence)))
+    hidden = params.mix_fwd.shape[0]
+    params.mix_fwd.data = np.zeros((hidden, hidden))
+    params.mix_bwd.data = np.zeros((hidden, hidden))
+    params.delta_raw.data = np.full(hidden, -1e9)
+
+
 def test_project_identity_weights():
-    cfg = small_config(hidden_dim=6)
+    # an identity projection hands the normalized sequence to the direction unchanged
+    cfg = small_config(hidden_dim=6, backward_on=False)
     params = init_model(cfg, seed=0, dtype=np.float64)
+    _quiet_modulation(params)
     params.proj_fwd.data = np.eye(6)
-    x_norm = Tensor(np.random.default_rng(0).standard_normal((9, 6)))
-    x_proj, _ = project(x_norm, params)
-    np.testing.assert_array_equal(x_proj.data, x_norm.data)
+    x_norm = np.random.default_rng(0).standard_normal((9, 6))
+    out = bi_network_forward(Tensor(x_norm), params, cfg)
+    expected = _naive_direction(x_norm, params.kernel_fwd.data).mean(axis=1)
+    np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_project_zero_input():
+    # zero input projects to zero whatever the weights, so each direction is
+    # tanh of its modulation alone
     cfg = small_config()
-    params = init_model(cfg, seed=0)
-    x_proj, z_proj = project(Tensor(np.zeros((9, 6), dtype=np.float32)), params)
-    np.testing.assert_array_equal(x_proj.data, np.zeros((9, 4)))
-    np.testing.assert_array_equal(z_proj.data, np.zeros((9, 4)))
+    params = init_model(cfg, seed=0, dtype=np.float64)
+    params.delta_raw.data = np.linspace(-1.0, 1.0, 4)
+    out = bi_network_forward(Tensor(np.zeros((9, 6))), params, cfg)
+    delta = np.log1p(np.exp(params.delta_raw.data))
+    expected = (np.tanh(params.mix_fwd.data @ delta)
+                + np.tanh(params.mix_bwd.data @ delta))
+    np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_project_single_pixel_matmul_oracle():
     cfg = ModelConfig(bands=2, num_classes=2, patch_size=1, hidden_dim=2,
-                      spatial_channels=1, classifier_hidden=2, spatial_kernel=1)
+                      seq_kernel=1, spatial_channels=1, classifier_hidden=2,
+                      spatial_kernel=1, backward_on=False)
     params = init_model(cfg, seed=0, dtype=np.float64)
+    _quiet_modulation(params)
     params.proj_fwd.data = np.array([[2.0, 0.0], [0.0, 3.0]])
-    x_proj, _ = project(Tensor(np.array([[1.0, 0.0]])), params)
-    np.testing.assert_array_equal(x_proj.data, [[2.0, 0.0]])
+    params.kernel_fwd.data = np.ones((2, 1))
+    out = bi_network_forward(Tensor(np.array([[1.0, 0.0]])), params, cfg)
+    silu_2 = 2.0 / (1.0 + math.exp(-2.0))
+    np.testing.assert_allclose(out.data, [math.tanh(silu_2), 0.0], atol=1e-12)
+
+
+def _one_direction_params(seed):
+    # backward weights copied from the forward ones, so the two directions
+    # differ only in the order they read the sequence
+    params = init_model(small_config(), seed=seed, dtype=np.float64)
+    params.proj_bwd.data = params.proj_fwd.data.copy()
+    params.kernel_bwd.data = params.kernel_fwd.data.copy()
+    params.mix_bwd.data = params.mix_fwd.data.copy()
+    return params
 
 
 def test_reverse_spectral_involution_and_order():
-    rows = np.arange(12.0).reshape(3, 4)
-    rev = reverse_spectral(Tensor(rows))
-    np.testing.assert_array_equal(rev.data, rows[::-1])
-    np.testing.assert_array_equal(reverse_spectral(rev).data, rows)
-    single = Tensor(np.arange(4.0).reshape(1, 4))
-    np.testing.assert_array_equal(reverse_spectral(single).data, single.data)
+    # the backward direction reads the projected sequence last pixel first
+    params = _one_direction_params(seed=2)
+    fwd_cfg = small_config(backward_on=False)
+    bwd_cfg = small_config(forward_on=False)
+    x_norm = np.random.default_rng(1).standard_normal((9, 6))
+    for seq, rev in ((x_norm, x_norm[::-1].copy()), (x_norm[::-1].copy(), x_norm)):
+        np.testing.assert_allclose(
+            bi_network_forward(Tensor(seq), params, bwd_cfg).data,
+            bi_network_forward(Tensor(rev), params, fwd_cfg).data, atol=1e-12)
 
 
 # -- bidirectional block -----------------------------------------------------------------
@@ -183,13 +226,10 @@ def _naive_direction(seq_rows, kernel):
 
 
 def test_bi_network_modulation_vanishes():
-    # zero mix matrices and a hugely negative delta_raw (softplus -> exactly 0)
-    # reduce the block to mean(tanh(f(conv(x)))) per direction
+    # without modulation the block is mean(tanh(f(conv(x)))) per direction
     cfg = small_config()
     params = init_model(cfg, seed=3, dtype=np.float64)
-    params.mix_fwd.data = np.zeros((4, 4))
-    params.mix_bwd.data = np.zeros((4, 4))
-    params.delta_raw.data = np.full(4, -1e9)
+    _quiet_modulation(params)
     x_norm = Tensor(np.random.default_rng(1).standard_normal((9, 6)))
     combined = bi_network_forward(x_norm, params, cfg)
 
@@ -267,24 +307,13 @@ def test_bi_network_reversal_invariance_with_delta_kernels():
 def test_bi_network_palindrome_symmetry():
     # shared projections/kernels/mixes: on a palindromic sequence the two
     # direction means coincide bitwise
-    cfg = small_config()
-    params = init_model(cfg, seed=6, dtype=np.float64)
-    params.proj_bwd.data = params.proj_fwd.data.copy()
-    params.kernel_bwd.data = params.kernel_fwd.data.copy()
-    params.mix_bwd.data = params.mix_fwd.data.copy()
+    params = _one_direction_params(seed=6)
     rng = np.random.default_rng(4)
     half = rng.standard_normal((4, 6))
     middle = rng.standard_normal((1, 6))
-    x_norm = np.vstack([half, middle, half[::-1]])
-    trace_cfg = cfg
-    from ssnl.model import ForwardTrace
-    trace = ForwardTrace(x_norm=None, x_proj=None, z_proj_reversed=None,
-                         x_forward=None, x_backward=None, h_forward=None,
-                         h_backward=None, h_combined=None, h_spatial=None,
-                         h_final=None, logits=None, probabilities=None)
-    bi_network_forward(Tensor(x_norm), params, trace_cfg, trace)
-    fwd_mean = ad.mean(trace.h_forward, axis=1)
-    bwd_mean = ad.mean(trace.h_backward, axis=1)
+    x_norm = Tensor(np.vstack([half, middle, half[::-1]]))
+    fwd_mean = bi_network_forward(x_norm, params, small_config(backward_on=False))
+    bwd_mean = bi_network_forward(x_norm, params, small_config(forward_on=False))
     np.testing.assert_array_equal(fwd_mean.data, bwd_mean.data)
 
 
@@ -377,26 +406,32 @@ def test_forward_patch_mismatch_rejected():
 def test_forward_trace_shapes():
     cfg = small_config()
     params = init_model(cfg, seed=12)
-    _, trace = model_forward(random_patch(cfg, seed=9), params, cfg)
-    assert trace.h_combined.shape == (4,)
-    assert trace.h_spatial.shape == (3,)
-    assert trace.h_final.shape == (7,)
-    assert trace.probabilities.shape == (3,)
-    assert abs(float(trace.probabilities.data.sum()) - 1.0) < 1e-6
+    patch = random_patch(cfg, seed=9)
+    probs, logits = model_forward(patch, params, cfg)
+    assert probs.shape == logits.shape == (3,)
+    assert abs(float(probs.data.sum()) - 1.0) < 1e-6
+    np.testing.assert_array_equal(probs.data, ad.softmax(logits).data)
+    x_norm = normalize_input(patch, params, cfg)
+    assert bi_network_forward(x_norm, params, cfg).shape == (4,)
+    plane = Tensor(x_norm.data.reshape(3, 3, 6).transpose(2, 0, 1))
+    assert spatial_forward(plane, params, cfg).shape == (3,)
 
 
 def test_forward_ablation_shrinks_feature_vector():
     patch_seed = 13
     cfg_ns = small_config(spatial_on=False)
     params = init_model(cfg_ns, seed=1)
-    _, trace = model_forward(random_patch(cfg_ns, seed=patch_seed), params, cfg_ns)
-    assert trace.h_final.shape == (4,)
-    assert trace.h_spatial is None
+    assert params.classifier_w1.shape == (8, 4)
+    probs, _ = model_forward(random_patch(cfg_ns, seed=patch_seed), params, cfg_ns)
+    assert probs.shape == (3,)
     cfg_so = small_config(forward_on=False, backward_on=False)
     params = init_model(cfg_so, seed=1)
-    _, trace = model_forward(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
-    assert trace.h_final.shape == (3,)
-    np.testing.assert_array_equal(trace.h_combined.data, np.zeros(4, dtype=np.float32))
+    assert params.classifier_w1.shape == (8, 3)
+    probs, _ = model_forward(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
+    assert probs.shape == (3,)
+    x_norm = normalize_input(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
+    np.testing.assert_array_equal(bi_network_forward(x_norm, params, cfg_so).data,
+                                  np.zeros(4, dtype=np.float32))
 
 
 # -- predict -------------------------------------------------------------------------
@@ -444,6 +479,27 @@ def test_checkpoint_roundtrip_bits(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     for (_, ta), (_, tb) in zip(params.named_tensors(), loaded.named_tensors()):
         np.testing.assert_array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(patch_size=5, hidden_dim=5, seq_kernel=5, spatial_channels=2,
+         spatial_kernel=1, classifier_hidden=3, activation="tanh",
+         forward_on=False, spatial_on=False),
+    dict(backward_on=False),
+])
+def test_checkpoint_config_line_round_trips_every_field(overrides):
+    cfg = small_config(**overrides)
+    parsed = _parse_config_line(_config_line(cfg).rstrip(b"\n"), "m.ckpt")
+    for f in fields(ModelConfig):
+        want, got = getattr(cfg, f.name), getattr(parsed, f.name)
+        assert got == want and type(got) is type(want), f.name
+
+
+def test_checkpoint_config_line_rejects_bad_bool():
+    line = _config_line(small_config()).rstrip(b"\n")
+    assert line.endswith(b" 1")
+    with pytest.raises(ShapeError, match="spatial_on"):
+        _parse_config_line(line[:-1] + b"2", "m.ckpt")
 
 
 def test_checkpoint_bad_magic(tmp_path):

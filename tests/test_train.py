@@ -195,8 +195,8 @@ def test_train_augmentation_expands_samples_sixfold():
     cfg = tiny_model_config()
     from ssnl.train import _training_samples
 
-    plain, _ = _training_samples(cube, split, cfg, False, np.float32)
-    augmented, aug_labels = _training_samples(cube, split, cfg, True, np.float32)
+    plain, _ = _training_samples(cube, split, cfg, False)
+    augmented, aug_labels = _training_samples(cube, split, cfg, True)
     assert len(augmented) == 6 * len(plain)
     assert len(aug_labels) == len(augmented)
 

@@ -6,16 +6,18 @@ graph once in reverse topological order, accumulating adjoints additively
 across fan-out. float64 is the precision used by every gradient check;
 float32 is accepted for training speed.
 
-Shapes are always explicit. The only implicit broadcast is scalar-with-tensor
-in the elementwise arithmetic; everything else goes through ``broadcast_to``.
+Ops are batch-first: they work on the trailing axes and carry any leading
+(batch) axes through, so one patch and a mini-batch run the same code. The only
+implicit broadcasts are in the elementwise arithmetic, of a scalar or of a
+tensor's trailing axes (a bias over a batch); all else goes through ``broadcast_to``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -101,7 +103,9 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``self`` must be scalar; each graph node is visited exactly once.
+        ``self`` must be scalar; each graph node is visited exactly once. An
+        interior node's adjoint is released once it has been passed on, so only
+        ``self`` and the leaves keep a ``grad``.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -111,6 +115,8 @@ class Tensor:
         for node in _reverse_topo(self):
             if node._backprop is not None and node.grad is not None:
                 node._backprop(node.grad)
+                if node is not self:
+                    node.grad = None
 
     # -- operator sugar ----------------------------------------------------
 
@@ -189,11 +195,18 @@ def _make(data, parents, backprop) -> Tensor:
     return Tensor(data)
 
 
-def _scalar_reduce(g: np.ndarray, shape) -> np.ndarray:
-    # adjoint of a scalar broadcast into `g.shape`
-    if shape == ():
-        return np.asarray(g.sum(), dtype=g.dtype)
-    return g
+def _check_trailing(name: str, a: Tensor, b: Tensor):
+    # one shape must be the trailing axes of the other (a scalar has none)
+    short, long = sorted((a.shape, b.shape), key=len)
+    if long[len(long) - len(short):] != short:
+        raise ShapeError(f"{name} shapes differ: {a.shape} vs {b.shape}")
+
+
+def _lead_reduce(g: np.ndarray, shape) -> np.ndarray:
+    # adjoint of a broadcast of `shape` over leading axes into `g.shape`
+    if g.shape == shape:
+        return g
+    return np.asarray(g.sum(axis=tuple(range(g.ndim - len(shape)))), dtype=g.dtype)
 
 
 # -- elementwise arithmetic --------------------------------------------------
@@ -201,26 +214,24 @@ def _scalar_reduce(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+    _check_trailing("add", a, b)
     out_data = a.data + b.data
 
     def backprop(g):
-        _accum(a, _scalar_reduce(g, a.shape))
-        _accum(b, _scalar_reduce(g, b.shape))
+        _accum(a, _lead_reduce(g, a.shape))
+        _accum(b, _lead_reduce(g, b.shape))
 
     return _make(out_data, (a, b), backprop)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
+    _check_trailing("mul", a, b)
     out_data = a.data * b.data
 
     def backprop(g):
-        _accum(a, _scalar_reduce(g * b.data, a.shape))
-        _accum(b, _scalar_reduce(g * a.data, b.shape))
+        _accum(a, _lead_reduce(g * b.data, a.shape))
+        _accum(b, _lead_reduce(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backprop)
 
@@ -229,25 +240,22 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for (m,k)@(k,n) and matrix-vector (m,k)@(k,)."""
+    """(..., k) @ (k, n) -> (..., n) and (..., k) @ (k,) -> (...); the leading
+    axes fold into one matrix, so a batch costs a single BLAS call."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 2-d @ (1|2)-d, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 1 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul expects (..., k) @ (k, n) or (k,), got {a.shape} @ {b.shape}")
+    k = b.shape[0]
+    if a.shape[-1] != k:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    b2 = b.data.reshape(k, -1)
+    a2 = a.data.reshape(-1, k)
+    out_data = (a2 @ b2).reshape(a.shape[:-1] + b.shape[1:])
 
-    if b.ndim == 2:
-
-        def backprop(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-
-    else:
-
-        def backprop(g):
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
+    def backprop(g):
+        g2 = g.reshape(-1, b2.shape[1])
+        _accum(a, (g2 @ b2.T).reshape(a.shape))
+        _accum(b, (a2.T @ g2).reshape(b.shape))
 
     return _make(out_data, (a, b), backprop)
 
@@ -258,36 +266,37 @@ def matmul(a, b) -> Tensor:
 def conv1d(x, kernel) -> Tensor:
     """Depthwise 1-d convolution along the last axis with zero same-padding.
 
-    ``x`` is (channels, length), ``kernel`` is (channels, k) with k odd; each
-    channel is convolved with its own kernel, output length equals input
+    ``x`` is (..., channels, length), ``kernel`` is (channels, k) with k odd;
+    each channel is convolved with its own kernel, output length equals input
     length (cross-correlation orientation).
     """
     x, kernel = _coerce(x), _coerce(kernel)
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError(f"conv1d expects 2-d operands, got {x.shape} and {kernel.shape}")
+    if x.ndim < 2 or kernel.ndim != 2:
+        raise ShapeError(f"conv1d expects (..., C, L) and (C, k), got {x.shape} and {kernel.shape}")
     if kernel.shape[1] % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {kernel.shape[1]}")
-    if x.shape[0] != kernel.shape[0]:
+    if x.shape[-2] != kernel.shape[0]:
         raise ShapeError(
             f"conv1d channel counts differ: input {x.shape} vs kernel {kernel.shape}"
         )
-    channels, length = x.shape
+    length = x.shape[-1]
     k = kernel.shape[1]
     pad = (k - 1) // 2
-    xp = np.zeros((channels, length + 2 * pad), dtype=x.dtype)
-    xp[:, pad:pad + length] = x.data
-    out_data = np.zeros((channels, length), dtype=x.dtype)
+    xp = np.zeros(x.shape[:-1] + (length + 2 * pad,), dtype=x.dtype)
+    xp[..., pad:pad + length] = x.data
+    out_data = np.zeros(x.shape, dtype=x.dtype)
     for j in range(k):
-        out_data += kernel.data[:, j:j + 1] * xp[:, j:j + length]
+        out_data += kernel.data[:, j:j + 1] * xp[..., j:j + length]
 
     def backprop(g):
+        lead = tuple(range(g.ndim - 2))
         gk = np.empty_like(kernel.data)
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gk[:, j] = (g * xp[:, j:j + length]).sum(axis=1)
-            gxp[:, j:j + length] += kernel.data[:, j:j + 1] * g
+            gk[:, j] = (g * xp[..., j:j + length]).sum(axis=lead + (-1,))
+            gxp[..., j:j + length] += kernel.data[:, j:j + 1] * g
         _accum(kernel, gk)
-        _accum(x, gxp[:, pad:pad + length])
+        _accum(x, gxp[..., pad:pad + length])
 
     return _make(out_data, (x, kernel), backprop)
 
@@ -295,45 +304,46 @@ def conv1d(x, kernel) -> Tensor:
 def conv2d(x, kernels) -> Tensor:
     """Cross-channel 2-d convolution with zero same-padding.
 
-    ``x`` is (in_channels, h, w); ``kernels`` is (out_channels, in_channels,
-    k, k) with k odd. Output is (out_channels, h, w).
+    ``x`` is (batch, in_channels, h, w) or one (in_channels, h, w) plane;
+    ``kernels`` is (out_channels, in_channels, k, k) with k odd. The output
+    has out_channels in place of in_channels.
     """
     x, kernels = _coerce(x), _coerce(kernels)
-    if x.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects 3-d input and 4-d kernels, got {x.shape} and {kernels.shape}")
+    if x.ndim not in (3, 4) or kernels.ndim != 4:
+        raise ShapeError(f"conv2d expects ([B,] C, h, w) and 4-d kernels, got {x.shape}, {kernels.shape}")
     if kernels.shape[2] != kernels.shape[3]:
         raise ShapeError(f"conv2d kernels must be square, got {kernels.shape}")
     if kernels.shape[2] % 2 == 0:
         raise ConfigError(f"conv2d kernel width must be odd, got {kernels.shape[2]}")
-    if x.shape[0] != kernels.shape[1]:
+    if x.shape[-3] != kernels.shape[1]:
         raise ShapeError(
             f"conv2d channel counts differ: input {x.shape} vs kernels {kernels.shape}"
         )
-    cin, h, w = x.shape
+    xb = x.data.reshape((-1,) + x.shape[-3:])
+    batch, cin, h, w = xb.shape
     cout, k = kernels.shape[0], kernels.shape[2]
     pad = (k - 1) // 2
-    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.data
-    # im2col: one matmul instead of k*k accumulation passes
-    cols = np.empty((cin, k, k, h * w), dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            cols[:, u, v, :] = xp[:, u:u + h, v:v + w].reshape(cin, h * w)
-    cols2 = cols.reshape(cin * k * k, h * w)
-    kern2 = kernels.data.reshape(cout, cin * k * k)
-    out_data = (kern2 @ cols2).reshape(cout, h, w)
+    # im2col, channels last: one (batch*h*w, k*k*cin) matrix, so the whole
+    # batch is one matmul and every copy below moves contiguous channel runs
+    xp = np.zeros((batch, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = xb.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (batch, h, w, cin, k, k)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * h * w, k * k * cin)
+    kern2 = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+    out_data = np.ascontiguousarray(
+        (cols @ kern2.T).reshape(batch, h, w, cout).transpose(0, 3, 1, 2))
 
     def backprop(g):
-        g2 = g.reshape(cout, h * w)
-        _accum(kernels, (g2 @ cols2.T).reshape(kernels.shape))
-        gcols = (kern2.T @ g2).reshape(cin, k, k, h * w)
+        g2 = g.reshape(batch, cout, h, w).transpose(0, 2, 3, 1).reshape(batch * h * w, cout)
+        _accum(kernels, (g2.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
+        gcols = (g2 @ kern2).reshape(batch, h, w, k, k, cin)
         gxp = np.zeros_like(xp)
         for u in range(k):
             for v in range(k):
-                gxp[:, u:u + h, v:v + w] += gcols[:, u, v, :].reshape(cin, h, w)
-        _accum(x, gxp[:, pad:pad + h, pad:pad + w])
+                gxp[:, u:u + h, v:v + w] += gcols[:, :, :, u, v]
+        _accum(x, gxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2).reshape(x.shape))
 
-    return _make(out_data, (x, kernels), backprop)
+    return _make(out_data.reshape(x.shape[:-3] + (cout, h, w)), (x, kernels), backprop)
 
 
 # -- normalization and activations ---------------------------------------------
@@ -418,48 +428,44 @@ def softplus(x) -> Tensor:
 
 
 def softmax(x) -> Tensor:
-    """Exp-normalize a vector via max subtraction; output sums to one."""
+    """Exp-normalize the last axis via max subtraction; each row sums to one."""
     x = _coerce(x)
-    if x.ndim != 1 or x.size < 1:
-        raise ShapeError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    p = e / e.sum()
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ShapeError(f"softmax expects a non-empty last axis, got shape {x.shape}")
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def backprop(g):
-        _accum(x, p * (g - (g * p).sum()))
+        _accum(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
     return _make(p, (x,), backprop)
 
 
-def log_sum_exp(x) -> Tensor:
-    """Scalar log(sum(exp(x))) of a vector, max-stabilized."""
-    x = _coerce(x)
-    if x.ndim != 1 or x.size < 1:
-        raise ShapeError(f"log_sum_exp expects a non-empty vector, got shape {x.shape}")
-    m = x.data.max()
-    out_data = np.asarray(m + np.log(np.exp(x.data - m).sum()), dtype=x.dtype)
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits)[target], max-stabilized.
+
+    ``logits`` is (batch, classes) with ``targets`` an integer array of
+    0-based class indices, or one (classes,) row with an integer target.
+    """
+    x = _coerce(logits)
+    if x.ndim not in (1, 2) or x.shape[-1] < 1:
+        raise ShapeError(f"cross_entropy expects (classes,) or (batch, classes), got {x.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if targets.shape != (rows.shape[0],):
+        raise ShapeError(f"cross_entropy got {targets.size} targets for {rows.shape[0]} rows")
+    if ((targets < 0) | (targets >= rows.shape[1])).any():
+        raise ContractError(f"cross_entropy target outside [0, {rows.shape[1]})")
+    picked = np.arange(rows.shape[0]), targets
+    z = rows - rows.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    out_data = np.asarray((np.log(total) - z[picked]).mean(), dtype=x.dtype)
 
     def backprop(g):
-        z = np.exp(x.data - m)
-        _accum(x, g * (z / z.sum()))
-
-    return _make(out_data, (x,), backprop)
-
-
-def pick(x, index: int) -> Tensor:
-    """Select one coordinate of a vector as a scalar."""
-    x = _coerce(x)
-    if x.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got shape {x.shape}")
-    if not 0 <= index < x.size:
-        raise ContractError(f"pick index {index} outside [0, {x.size})")
-    out_data = np.asarray(x.data[index], dtype=x.dtype)
-
-    def backprop(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        _accum(x, gx)
+        gx = e / total[:, None]
+        gx[picked] -= 1.0
+        _accum(x, (gx * (g / rows.shape[0])).reshape(x.shape))
 
     return _make(out_data, (x,), backprop)
 
@@ -478,22 +484,11 @@ def tsum(x) -> Tensor:
     return _make(out_data, (x,), backprop)
 
 
-def _fsum_axis(d: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    # exactly rounded, order-invariant sum over `axes` (math.fsum per slot)
-    keep = tuple(i for i in range(d.ndim) if i not in axes)
-    moved = np.transpose(d, axes + keep)
-    red = int(np.prod([d.shape[i] for i in axes], dtype=np.int64))
-    flat = moved.reshape(red, -1)
-    cols = flat.shape[1]
-    out = np.empty(cols, dtype=np.float64)
-    lists = flat.T.tolist()
-    for j in range(cols):
-        out[j] = math.fsum(lists[j])
-    return out.reshape(tuple(d.shape[i] for i in keep))
-
-
 def mean(x, axis=None) -> Tensor:
-    """Arithmetic mean, exactly rounded (order-invariant accumulation).
+    """Arithmetic mean, order-invariant: each slot's values are sorted, summed
+    in float64 and divided, then cast back to the input dtype, so permuting the
+    reduced axes, or the batch the slot sits in, leaves the result bitwise
+    unchanged.
 
     ``axis`` may be None (all elements, scalar result), an int, or a tuple.
     """
@@ -504,10 +499,14 @@ def mean(x, axis=None) -> Tensor:
         axes = (axis % x.ndim,)
     else:
         axes = tuple(a % x.ndim for a in axis)
+    keep = tuple(i for i in range(x.ndim) if i not in axes)
     count = int(np.prod([x.shape[a] for a in axes], dtype=np.int64))
-    out_data = (_fsum_axis(x.data, axes) / count).astype(x.dtype)
-    if axis is None:
-        out_data = np.asarray(out_data.reshape(()), dtype=x.dtype)
+    # C order keeps each slot's values contiguous, so the float64 sum runs
+    # the same way over them whatever the layout of the input
+    rows = np.array(np.transpose(x.data, keep + axes).reshape(
+        tuple(x.shape[i] for i in keep) + (count,)), dtype=np.float64, order="C")
+    rows.sort(axis=-1)
+    out_data = np.asarray(rows.sum(axis=-1) / count, dtype=x.dtype)
 
     def backprop(g):
         expanded = np.expand_dims(g, axes) if g.ndim else g
@@ -549,18 +548,20 @@ def flip(x, axis: int = 0) -> Tensor:
 
 
 def concat(tensors) -> Tensor:
-    """Concatenate vectors into one vector."""
+    """Concatenate along the last axis; the leading axes must agree."""
     tensors = [_coerce(t) for t in tensors]
     for t in tensors:
-        if t.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {t.shape}")
-    out_data = np.concatenate([t.data for t in tensors])
+        if t.ndim < 1 or t.shape[:-1] != tensors[0].shape[:-1]:
+            raise ShapeError(f"concat expects equal leading axes, got shape {t.shape} "
+                             f"beside {tensors[0].shape}")
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
 
     def backprop(g):
         offset = 0
         for t in tensors:
-            _accum(t, g[offset:offset + t.size])
-            offset += t.size
+            width = t.shape[-1]
+            _accum(t, g[..., offset:offset + width])
+            offset += width
 
     return _make(out_data, tuple(tensors), backprop)
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .complexity import render_complexity_report
 from .data import (
-    extract_window,
     load_cube,
     load_labels,
     scale_bands,
@@ -38,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .metrics import render_report
-from .model import ModelConfig, load_model, parse_field, predict, save_model
+from .model import ModelConfig, load_model, parse_field, predict_pixels, save_model
 from .render import render_class_map, write_ppm
 from .train import (
     TrainConfig,
@@ -71,8 +70,9 @@ class _RunConfigMethods:
 
     def read_file(self, path):
         try:
-            lines = open(path, "r", encoding="ascii").read().splitlines()
-        except OSError as exc:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -211,11 +211,8 @@ def cmd_map(args) -> int:
         raise ShapeError(
             f"model expects {config.bands} bands but cube has {cube.bands}"
         )
-    ids = np.zeros((cube.rows, cube.cols), dtype=np.int64)
-    for row in range(cube.rows):
-        for col in range(cube.cols):
-            window = extract_window(cube, row, col, config.patch_size)
-            ids[row, col] = predict(window, params, config)
+    pixels = np.indices((cube.rows, cube.cols)).reshape(2, -1).T
+    ids = predict_pixels(cube, pixels, params, config).reshape(cube.rows, cube.cols)
     image = render_class_map(ids, config.num_classes)
     comment = f"cube={args.cube} model={args.model} classes={config.num_classes}"
     write_ppm(args.out_image, image, comment=comment)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -250,26 +251,26 @@ def split_samples(labels: LabelRaster, ratio: float, seed: int) -> SplitSpec:
 # -- patches ------------------------------------------------------------------------
 
 
-def mirror_indices(start: int, count: int, n: int) -> np.ndarray:
-    """Reflect out-of-range indices about the edges (edge pixel not duplicated)."""
-    idx = np.arange(start, start + count)
-    if n == 1:
-        return np.zeros(count, dtype=np.int64)
-    period = 2 * n - 2
-    m = idx % period
-    return np.where(m > n - 1, period - m, m)
+def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
+    """Read-only (rows, cols, p, p, bands) view of the window centered at every
+    pixel, over one copy of the cube reflect-padded by p // 2 (the edge pixel is
+    not duplicated). Indexing it gathers windows; nothing else is copied."""
+    if p % 2 == 0:
+        raise ConfigError(f"patch size must be odd, got {p}")
+    half = p // 2
+    padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)), mode="reflect")
+    return sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
 
 
 def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
-    """p x p x bands window centered at (row, col) with reflect padding."""
-    if p % 2 == 0:
-        raise ConfigError(f"patch size must be odd, got {p}")
+    """p x p x bands window centered at (row, col) with reflect padding, cut from the
+    block within p // 2 of the center: a scene edge the window crosses bounds the block."""
     if not (0 <= row < cube.rows and 0 <= col < cube.cols):
         raise ContractError(f"center ({row},{col}) outside {cube.rows}x{cube.cols} raster")
     half = p // 2
-    r_idx = mirror_indices(row - half, p, cube.rows)
-    c_idx = mirror_indices(col - half, p, cube.cols)
-    return cube.values[np.ix_(r_idx, c_idx)].copy()
+    top, left = max(0, row - half), max(0, col - half)
+    block = HsiCube(cube.values[top:row + half + 1, left:col + half + 1])
+    return scene_windows(block, p)[row - top, col - left].copy()
 
 
 # -- augmentation --------------------------------------------------------------------
@@ -295,6 +296,9 @@ def _rotate_nearest(data: np.ndarray, degrees: float) -> np.ndarray:
         src_c %= period
         src_c = np.where(src_c > p - 1, period - src_c, src_c)
     return data[src_r, src_c].copy()
+
+
+AUGMENT_VARIANTS = 6  # arrays that augment returns per window
 
 
 def augment(window: np.ndarray) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ descriptor. The concatenated descriptor feeds a one-hidden-layer softmax
 classifier. Forward/backward/spatial branches can be disabled independently
 for ablations; the classifier is dimensioned at init from those flags.
 
+Every stage takes one patch or a batch of patches (a leading axis).
 ``model_forward`` returns the class probabilities and the logits; a caller that
 needs an intermediate value calls the stage it comes from (``normalize_input``,
 ``bi_network_forward``, ``spatial_forward``).
@@ -30,9 +31,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import HsiCube, scene_windows
 from .errors import ConfigError, ContractError, MagicError, ShapeError, TruncatedError
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
+INFERENCE_CHUNK = 32  # patches per batched inference forward
 
 
 @dataclass
@@ -200,59 +203,61 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 
 def _patch_array(patch, config: ModelConfig, dtype) -> np.ndarray:
     arr = np.asarray(patch)
-    if arr.shape != (config.patch_size, config.patch_size, config.bands):
+    want = (config.patch_size, config.patch_size, config.bands)
+    if arr.ndim not in (3, 4) or arr.shape[-3:] != want:
         raise ShapeError(
-            f"patch shape {arr.shape} does not match config "
-            f"({config.patch_size}, {config.patch_size}, {config.bands})"
+            f"patch shape {arr.shape} does not match config {want} "
+            f"or (batch, {want[0]}, {want[1]}, {want[2]})"
         )
     return arr.astype(dtype)
 
 
 def normalize_input(patch, params: ModelParams, config: ModelConfig,
                     eps: float = 1e-5) -> Tensor:
-    """Flatten the patch to a (p*p, bands) pixel sequence and layer-normalize
+    """Flatten each patch to a (p*p, bands) pixel sequence and layer-normalize
     each pixel's spectrum with the model's gain/bias."""
     arr = _patch_array(patch, config, params.dtype)
-    seq = Tensor(arr.reshape(-1, config.bands))
+    seq = Tensor(arr.reshape(arr.shape[:-3] + (-1, config.bands)))
     return ad.layer_norm(seq, params.norm_gain, params.norm_bias, eps=eps)
 
 
 def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """One direction of the spectral block: depthwise conv over the sequence,
-    activation, additive delta modulation inside tanh. Returns the
-    per-position hidden states, (hidden, length)."""
-    length = seq.shape[0]
-    channels_first = ad.transpose(seq, (1, 0))
+    activation, additive delta modulation inside tanh. Takes (..., length,
+    hidden) and returns the per-position hidden states, (..., hidden, length)."""
+    n = seq.ndim
+    channels_first = ad.transpose(seq, tuple(range(n - 2)) + (n - 1, n - 2))
     conv_out = ad.activation(config.activation, ad.conv1d(channels_first, kernel))
     delta = ad.softplus(params.delta_raw)
     modulation = ad.matmul(mix, delta)              # (hidden,)
     expanded = ad.broadcast_to(ad.reshape(modulation, (config.hidden_dim, 1)),
-                               (config.hidden_dim, length))
+                               conv_out.shape)
     return ad.tanh(ad.add(conv_out, expanded))
 
 
 def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
     """Bidirectional spectral descriptor: mean-over-sequence of each enabled
-    direction's hidden states, summed. A disabled direction contributes zeros."""
-    d = config.hidden_dim
-    zero = Tensor(np.zeros(d, dtype=x_norm.dtype))
+    direction's hidden states, summed. A disabled direction contributes zeros.
+    Takes (..., length, bands) and returns (..., hidden)."""
+    zero = Tensor(np.zeros(x_norm.shape[:-2] + (config.hidden_dim,), dtype=x_norm.dtype))
     fwd_mean = bwd_mean = zero
     if config.forward_on:
         x_proj = ad.matmul(x_norm, params.proj_fwd)
         h_fwd = _direction(x_proj, params.kernel_fwd, params.mix_fwd, params, config)
-        fwd_mean = ad.mean(h_fwd, axis=1)
+        fwd_mean = ad.mean(h_fwd, axis=-1)
     if config.backward_on:
-        z_rev = ad.flip(ad.matmul(x_norm, params.proj_bwd), axis=0)
+        z_rev = ad.flip(ad.matmul(x_norm, params.proj_bwd), axis=-2)
         h_bwd = _direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config)
-        bwd_mean = ad.mean(h_bwd, axis=1)
+        bwd_mean = ad.mean(h_bwd, axis=-1)
     return ad.add(fwd_mean, bwd_mean)
 
 
 def spatial_forward(patch_norm_2d: Tensor, params: ModelParams,
                     config: ModelConfig) -> Tensor:
-    """Spatial descriptor: 2-d convolution over the normalized patch plane,
-    activation, then global average pooling to a channel vector."""
+    """Spatial descriptor: 2-d convolution over the normalized patch plane
+    (..., bands, p, p), activation, then global average pooling to a
+    (..., channels) vector."""
     if not config.spatial_on:
         raise ContractError("spatial_forward called with the spatial branch disabled")
     conv = ad.conv2d(patch_norm_2d, params.spatial_kernels)
@@ -260,19 +265,23 @@ def spatial_forward(patch_norm_2d: Tensor, params: ModelParams,
         ad.reshape(params.spatial_bias, (config.spatial_channels, 1, 1)), conv.shape
     )
     activated = ad.activation(config.activation, ad.add(conv, bias))
-    return ad.mean(activated, axis=(1, 2))
+    return ad.mean(activated, axis=(-2, -1))
 
 
 def model_forward(patch, params: ModelParams,
                   config: ModelConfig) -> tuple[Tensor, Tensor]:
     """Full pass: normalize, bidirectional spectral block, spatial branch,
-    concatenation, one-hidden-layer classifier. Returns the softmax
-    probabilities and the logits."""
+    concatenation, one-hidden-layer classifier. ``patch`` is one
+    (p, p, bands) patch or a (batch, p, p, bands) stack; returns the softmax
+    probabilities and the logits, (classes,) or (batch, classes)."""
     p = config.patch_size
     x_norm = normalize_input(patch, params, config)
+    lead = x_norm.shape[:-2]
     parts = []
     if config.spatial_on:
-        plane = ad.transpose(ad.reshape(x_norm, (p, p, config.bands)), (2, 0, 1))
+        grid = ad.reshape(x_norm, lead + (p, p, config.bands))
+        n = len(lead)
+        plane = ad.transpose(grid, tuple(range(n)) + (n + 2, n, n + 1))
         parts.append(spatial_forward(plane, params, config))
     if config.spectral_on:
         parts.append(bi_network_forward(x_norm, params, config))
@@ -280,17 +289,39 @@ def model_forward(patch, params: ModelParams,
 
     hidden = ad.activation(
         config.activation,
-        ad.add(ad.matmul(params.classifier_w1, h_final), params.classifier_b1),
+        ad.add(ad.matmul(h_final, ad.transpose(params.classifier_w1)), params.classifier_b1),
     )
-    logits = ad.add(ad.matmul(params.classifier_w2, hidden), params.classifier_b2)
+    logits = ad.add(ad.matmul(hidden, ad.transpose(params.classifier_w2)),
+                    params.classifier_b2)
     return ad.softmax(logits), logits
 
 
-def predict(patch, params: ModelParams, config: ModelConfig) -> int:
-    """Class id in 1..num_classes; ties break toward the lowest class index."""
+def predict(patch, params: ModelParams, config: ModelConfig):
+    """Class ids in 1..num_classes of one patch or a batch; ties go to the lowest id."""
     with ad.no_grad():
         probs, _ = model_forward(patch, params, config)
-    return int(np.argmax(probs.data)) + 1
+    return np.argmax(probs.data, axis=-1) + 1
+
+
+def predict_pixels(cube: HsiCube, coords, params: ModelParams,
+                   config: ModelConfig) -> np.ndarray:
+    """Class ids of the scene pixels ``coords`` (an iterable of (row, col)).
+
+    The scene is cut into fixed runs of INFERENCE_CHUNK pixels in raster order,
+    and every run holding a requested pixel is predicted as one batch. A batch's
+    float results depend on which patches share it, so fixed runs give a pixel
+    the same class whichever pixels are requested: ``eval``, ``map`` and the
+    test pass of ``train`` agree pixel for pixel."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    if ((coords < 0) | (coords >= (cube.rows, cube.cols))).any():
+        raise ContractError(f"pixels outside the {cube.rows}x{cube.cols} raster")
+    windows = scene_windows(cube, config.patch_size)
+    ids = np.zeros(cube.rows * cube.cols, dtype=np.int64)
+    flat = coords[:, 0] * cube.cols + coords[:, 1]
+    for chunk in np.unique(flat // INFERENCE_CHUNK):
+        run = np.arange(chunk * INFERENCE_CHUNK, min((chunk + 1) * INFERENCE_CHUNK, ids.size))
+        ids[run] = predict(windows[run // cube.cols, run % cube.cols], params, config)
+    return ids[flat]
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -350,7 +381,11 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
         end = buf.find(b"\n", offset)
         if end < 0:
             raise TruncatedError(f"{path}: missing shape line for {name}")
-        got = tuple(int(tok) for tok in buf[offset:end].split())
+        try:
+            got = tuple(int(tok) for tok in buf[offset:end].split())
+        except ValueError:
+            raise ShapeError(f"{path}: shape line for {name} is not integers: "
+                             f"{buf[offset:end]!r}") from None
         if got != want:
             raise ShapeError(f"{path}: {name} has shape {got}, expected {want}")
         offset = end + 1

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import HsiCube, LabelRaster, SplitSpec, augment, extract_window
+from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, SplitSpec, augment, scene_windows
 from .errors import ConfigError, ContractError, NumericalError
 from .metrics import ConfusionMatrix
-from .model import ModelConfig, ModelParams, init_model, model_forward, predict
+from .model import ModelConfig, ModelParams, init_model, model_forward, predict_pixels
 
 
 @dataclass
@@ -94,15 +94,18 @@ def serialize_report(report: TrainReport, echo_lines: list[str] | None = None) -
     return "\n".join(lines) + "\n"
 
 
-def cross_entropy(logits: ad.Tensor, label: int) -> ad.Tensor:
-    """-log softmax(logits)[label], computed from logits via log-sum-exp.
+def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
+    """Batch mean of -log softmax(logits)[label], computed from the logits.
 
-    ``label`` is a 1-based class id.
+    ``logits`` is (batch, classes) with ``labels`` an array of 1-based class
+    ids, or one (classes,) row with a single id.
     """
-    k = logits.size
-    if not 1 <= label <= k:
-        raise ContractError(f"label {label} outside 1..{k}")
-    return ad.add(ad.log_sum_exp(logits), -ad.pick(logits, label - 1))
+    k = logits.shape[-1]
+    labels = np.asarray(labels)
+    bad = (labels < 1) | (labels > k)
+    if bad.any():
+        raise ContractError(f"label {labels[bad][0]} outside 1..{k}")
+    return ad.cross_entropy(logits, labels - 1)
 
 
 def _mix_seed(*values: int) -> int:
@@ -158,15 +161,18 @@ def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
 
 
 def _training_samples(cube: HsiCube, split: SplitSpec, config: ModelConfig,
-                      use_augment: bool) -> tuple[list[np.ndarray], list[int]]:
-    arrays: list[np.ndarray] = []
-    labels: list[int] = []
-    for cls, row, col in split.train_items():
-        window = extract_window(cube, row, col, config.patch_size)
-        variants = augment(window) if use_augment else [window]
-        arrays.extend(variants)
-        labels.extend([cls] * len(variants))
-    return arrays, labels
+                      use_augment: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every training window (and its augmented variants, when on), in one
+    (samples, p, p, bands) array, with the class id of each sample."""
+    windows = scene_windows(cube, config.patch_size)
+    items = list(split.train_items())
+    per_pixel = AUGMENT_VARIANTS if use_augment else 1
+    samples = np.empty((len(items) * per_pixel,) + windows.shape[2:], dtype=windows.dtype)
+    for i, (_, row, col) in enumerate(items):
+        window = windows[row, col]
+        samples[i * per_pixel:(i + 1) * per_pixel] = augment(window) if use_augment else window
+    labels = np.repeat([cls for cls, _, _ in items], per_pixel)
+    return samples, labels
 
 
 def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
@@ -202,14 +208,9 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
         for lo in range(0, n, train_config.batch_size):
             batch = order[lo:lo + train_config.batch_size]
             params.zero_grads()
-            total = None
-            for idx in batch:
-                probs, logits = model_forward(samples[idx], params, model_config)
-                loss = cross_entropy(logits, sample_labels[idx])
-                total = loss if total is None else ad.add(total, loss)
-                if int(np.argmax(probs.data)) + 1 == sample_labels[idx]:
-                    correct += 1
-            batch_loss = ad.mul(total, 1.0 / len(batch))
+            probs, logits = model_forward(samples[batch], params, model_config)
+            batch_loss = cross_entropy(logits, sample_labels[batch])
+            correct += int((np.argmax(probs.data, axis=-1) + 1 == sample_labels[batch]).sum())
             batch_loss.backward()
             value = batch_loss.item()
             if not np.isfinite(value):
@@ -273,6 +274,7 @@ def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,
              labels: LabelRaster, coords: list[tuple[int, int]]) -> ConfusionMatrix:
     """Predict each labeled coordinate and accumulate counts[truth][prediction]."""
     cm = ConfusionMatrix.zeros(config.num_classes)
+    truths = []
     for row, col in coords:
         truth = int(labels.labels[row, col])
         if truth < 1:
@@ -282,6 +284,7 @@ def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,
                 f"coordinate ({row},{col}) has class {truth} beyond the model's "
                 f"{config.num_classes} classes"
             )
-        window = extract_window(cube, row, col, config.patch_size)
-        cm.add(truth, predict(window, params, config))
+        truths.append(truth)
+    for truth, predicted in zip(truths, predict_pixels(cube, coords, params, config).tolist()):
+        cm.add(truth, predicted)
     return cm

@@ -319,6 +319,60 @@ def test_map_checkpoint_with_bad_bool_is_contract_error(tmp_path, capsys):
     assert "spatial_on" in capsys.readouterr().err
 
 
+def test_map_checkpoint_with_non_integer_shape_is_contract_error(tmp_path, capsys):
+    argv, cube, labels = synth_args(tmp_path, rows=5, cols=5)
+    main(argv)
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    main(train_args(cube, labels, model, report))
+    raw = model.read_bytes()
+    start = raw.index(b"\n", raw.index(b"\n") + 1) + 1  # first shape line
+    end = raw.index(b"\n", start)
+    model.write_bytes(raw[:start] + b"x y" + raw[end:])
+    code = main(["map", "--cube", str(cube), "--model", str(model),
+                 "--out-image", str(tmp_path / "x.ppm")])
+    assert code == 3
+    assert "norm_gain" in capsys.readouterr().err
+
+
+def _ppm_classes(path, rows, cols, classes):
+    raw = path.read_bytes()
+    rgb = np.frombuffer(raw[raw.index(b"255\n") + 4:], dtype=np.uint8).reshape(rows, cols, 3)
+    palette = np.array(class_palette(classes)[1:], dtype=np.uint8)
+    matches = (rgb[:, :, None, :] == palette[None, None]).all(axis=-1)
+    assert (matches.sum(axis=-1) == 1).all()
+    return matches.argmax(axis=-1) + 1
+
+
+def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys):
+    # the 48x48 acceptance scene: eval, map and train's test pass classify
+    # each pixel with the same bits, so eval's table is the map's classes
+    # tallied over the test split, and train's test_oa is eval's OA
+    from ssnl.data import split_samples
+    from ssnl.metrics import ConfusionMatrix, render_report
+
+    argv, cube, labels = synth_args(tmp_path, rows=48, cols=48, bands=24, classes=4,
+                                    noise=0.05, seed=101)
+    main(argv)
+    model, report, image = tmp_path / "m.ckpt", tmp_path / "r.txt", tmp_path / "map.ppm"
+    assert main(["train", "--cube", str(cube), "--labels", str(labels),
+                 "--out-model", str(model), "--out-report", str(report),
+                 "--epochs", "1", "--seed", "101", "--ratio", "0.1"]) == 0
+    test_oa = capsys.readouterr().out.split("test_oa=")[1].split()[0]
+    assert main(["eval", "--cube", str(cube), "--labels", str(labels), "--model", str(model),
+                 "--ratio", "0.1", "--split-seed", "101"]) == 0
+    table = capsys.readouterr().out.split("\n", 1)[1]
+    assert main(["map", "--cube", str(cube), "--model", str(model),
+                 "--out-image", str(image)]) == 0
+
+    mapped = _ppm_classes(image, 48, 48, 4)
+    truth = load_labels(labels).labels
+    cm = ConfusionMatrix.zeros(4)
+    for _, row, col in split_samples(load_labels(labels), 0.1, 101).test_items():
+        cm.add(int(truth[row, col]), int(mapped[row, col]))
+    assert table == render_report(cm) + "\n"
+    assert test_oa == f"{np.trace(cm.counts) / cm.total:.4f}"
+
+
 # -- run configuration schema ----------------------------------------------------------
 
 
@@ -365,6 +419,13 @@ def test_set_rejects_text_the_field_type_refuses(tmp_path, capsys, setting):
                            extra=["--set", setting]))
     assert code == 1
     assert "bad value" in capsys.readouterr().err
+
+
+def test_config_file_with_non_ascii_byte_is_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"epochs=\xff2\n")
+    assert main(["complexity", "--config", str(cfg_file)]) == 1
+    assert "run.cfg" in capsys.readouterr().err
 
 
 # -- complexity / gradcheck ------------------------------------------------------------

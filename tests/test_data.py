@@ -11,8 +11,8 @@ from ssnl.data import (
     extract_window,
     load_cube,
     load_labels,
-    mirror_indices,
     scale_bands,
+    scene_windows,
     split_samples,
     synthesize_cube,
     write_cube,
@@ -271,14 +271,31 @@ def test_patch_center_outside_rejected():
         extract_window(cube, 4, 0, 3)
 
 
-def test_reflect_indices_never_leave_raster():
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 30))
-        p = int(rng.choice([1, 3, 5, 7, 9]))
-        center = int(rng.integers(0, n))
-        idx = mirror_indices(center - p // 2, p, n)
-        assert idx.min() >= 0 and idx.max() < n
+def _mirror_indices(start, count, n):
+    # reflect-index oracle: out-of-range indices fold back about the edges,
+    # the edge pixel not duplicated, period 2n - 2
+    idx = np.arange(start, start + count)
+    if n == 1:
+        return np.zeros(count, dtype=np.int64)
+    period = 2 * n - 2
+    m = idx % period
+    return np.where(m > n - 1, period - m, m)
+
+
+def test_scene_windows_match_reflect_index_oracle():
+    rng = np.random.default_rng(0)
+    for rows in range(1, 8):
+        for cols in range(1, 8):
+            cube = HsiCube(rng.standard_normal((rows, cols, 2)))
+            for p in range(1, 2 * max(rows, cols) + 2, 2):
+                windows = scene_windows(cube, p)
+                assert windows.shape == (rows, cols, p, p, 2)
+                for r in range(rows):
+                    for c in range(cols):
+                        expected = cube.values[np.ix_(_mirror_indices(r - p // 2, p, rows),
+                                                      _mirror_indices(c - p // 2, p, cols))]
+                        np.testing.assert_array_equal(windows[r, c], expected)
+                        np.testing.assert_array_equal(extract_window(cube, r, c, p), expected)
 
 
 # -- augmentation -------------------------------------------------------------------

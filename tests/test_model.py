@@ -434,6 +434,38 @@ def test_forward_ablation_shrinks_feature_vector():
                                   np.zeros(4, dtype=np.float32))
 
 
+@pytest.mark.parametrize("flags", [{}, {"spatial_on": False}, {"forward_on": False},
+                                   {"backward_on": False}])
+def test_batched_forward_and_gradients_match_per_patch(flags):
+    # one (batch, p, p, bands) graph equals the per-patch graphs stacked:
+    # the same logits, and the parameter gradients of the mean loss
+    cfg = small_config(**flags)
+    params = init_model(cfg, seed=21, dtype=np.float64)
+    rng = np.random.default_rng(22)
+    patches = rng.standard_normal((5, 3, 3, 6))
+    labels = np.array([1, 3, 2, 2, 1])
+
+    params.zero_grads()
+    _, logits = model_forward(patches, params, cfg)
+    cross_entropy(logits, labels).backward()
+    batched = {name: t.grad_array().copy() for name, t in params.named_tensors()}
+
+    singles = []
+    summed = {name: np.zeros_like(t.data) for name, t in params.named_tensors()}
+    for patch, label in zip(patches, labels):
+        params.zero_grads()
+        _, one = model_forward(patch, params, cfg)
+        cross_entropy(one, int(label)).backward()
+        singles.append(one.data)
+        for name, t in params.named_tensors():
+            summed[name] += t.grad_array() / len(patches)
+
+    np.testing.assert_allclose(logits.data, np.stack(singles), rtol=1e-12, atol=0)
+    for name in batched:
+        scale = max(np.abs(summed[name]).max(), 1e-300)
+        assert np.abs(batched[name] - summed[name]).max() <= 1e-12 * scale, name
+
+
 # -- predict -------------------------------------------------------------------------
 
 

@@ -248,6 +248,14 @@ def test_evaluate_rejects_unlabeled_coordinate():
         evaluate(params, cfg, cube, labels, [(0, 0)])
 
 
+def test_evaluate_rejects_coordinate_outside_raster():
+    # a negative index would wrap to the far edge of the scene
+    cube, labels, _ = tiny_task()
+    cfg = tiny_model_config()
+    params = init_model(cfg, seed=10)
+    with pytest.raises(ContractError):
+        evaluate(params, cfg, cube, labels, [(-1, 0)])
+
 def test_overfit_small_training_set():
     # capacity check: a handful of patches, no augmentation, many epochs
     cube, labels, _ = tiny_task(rows=8, cols=6)

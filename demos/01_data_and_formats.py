@@ -32,7 +32,8 @@ for cls in range(1, 5):
 
 # Files round-trip bit-exactly: an ASCII magic + header, then little-endian
 # float32 (band-sequential) or uint16 (row-major) payload.
-workdir = Path(tempfile.mkdtemp())
+scratch = tempfile.TemporaryDirectory()  # removed when the demo exits
+workdir = Path(scratch.name)
 cube_path = workdir / "scene.cube"
 label_path = workdir / "scene.lbl"
 write_cube(cube_path, cube)

@@ -24,9 +24,9 @@ y = Tensor(np.ones(4), requires_grad=True)
 print("\nfan-out gradient (expect all 2):", y.grad)
 
 # The building blocks of the model, in isolation.
-seq = Tensor(np.array([[1.0, 2.0, 3.0]]))          # one channel, length 3
+seq = Tensor(np.array([[1.0], [2.0], [3.0]]))      # length 3, one channel
 box = Tensor(np.array([[1.0, 1.0, 1.0]]))          # width-3 box kernel
-print("\nconv1d box kernel on [1,2,3]:", ad.conv1d(seq, box).data)
+print("\nconv1d box kernel on [1,2,3]:", ad.conv1d(seq, box).data.ravel())
 
 v = Tensor(np.array([0.0, np.log(3.0)]))
 print("softmax [0, ln3]          :", ad.softmax(v).data)     # [0.25, 0.75]

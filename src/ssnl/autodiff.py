@@ -6,42 +6,40 @@ graph once in reverse topological order, accumulating adjoints additively
 across fan-out. float64 is the precision used by every gradient check;
 float32 is accepted for training speed.
 
-Ops are batch-first: they work on the trailing axes and carry any leading
-(batch) axes through, so one patch and a mini-batch run the same code. The only
-implicit broadcasts are in the elementwise arithmetic, of a scalar or of a
-tensor's trailing axes (a bias over a batch); all else goes through ``broadcast_to``.
+Ops are batch-first and channels-last: they work on the trailing axes, with
+channels on the last one, and carry any leading (batch) axes through, so one
+patch and a mini-batch run the same code. ``conv1d`` takes (..., length,
+channels) and ``conv2d`` takes ([batch,] h, w, channels). The only implicit
+broadcasts are in the elementwise arithmetic, of a scalar or of a tensor's
+trailing axes (a per-channel bias over positions and a batch).
 """
 
 from __future__ import annotations
 
-import itertools
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 
-_node_ids = itertools.count()
-
-_grad_enabled = True
+_grad_enabled: ContextVar[bool] = ContextVar("ssnl_grad_enabled", default=True)
 
 
 class no_grad:
     """Context manager that suspends graph recording (inference fast path).
 
-    Values are computed identically; only the bookkeeping is skipped. Not
-    safe to toggle concurrently from multiple threads.
+    Values are computed identically; only the bookkeeping is skipped. The flag
+    is a context variable, so it holds in the thread that entered it; another
+    thread keeps recording.
     """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -57,13 +55,12 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """Dense n-d float array with a gradient slot and graph bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backprop=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_ids)
         self._parents = _parents
         self._backprop = _backprop
 
@@ -96,7 +93,7 @@ class Tensor:
         return self.grad
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, id={self.node_id})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     # -- graph replay ------------------------------------------------------
 
@@ -130,34 +127,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_coerce(other))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), -self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not supported; scale by a scalar")
-        return mul(self, 1.0 / float(other))
-
     def sum(self):
         return tsum(self)
-
-    def mean(self, axis=None):
-        return mean(self, axis=axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def flip(self, axis=0):
-        return flip(self, axis)
 
 
 def _coerce(x) -> Tensor:
@@ -190,7 +161,7 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def _make(data, parents, backprop) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
     return Tensor(data)
 
@@ -264,39 +235,40 @@ def matmul(a, b) -> Tensor:
 
 
 def conv1d(x, kernel) -> Tensor:
-    """Depthwise 1-d convolution along the last axis with zero same-padding.
+    """Depthwise 1-d convolution along the length axis with zero same-padding.
 
-    ``x`` is (..., channels, length), ``kernel`` is (channels, k) with k odd;
+    ``x`` is (..., length, channels), ``kernel`` is (channels, k) with k odd;
     each channel is convolved with its own kernel, output length equals input
     length (cross-correlation orientation).
     """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.ndim < 2 or kernel.ndim != 2:
-        raise ShapeError(f"conv1d expects (..., C, L) and (C, k), got {x.shape} and {kernel.shape}")
+        raise ShapeError(f"conv1d expects (..., L, C) and (C, k), got {x.shape} and {kernel.shape}")
     if kernel.shape[1] % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {kernel.shape[1]}")
-    if x.shape[-2] != kernel.shape[0]:
+    if x.shape[-1] != kernel.shape[0]:
         raise ShapeError(
             f"conv1d channel counts differ: input {x.shape} vs kernel {kernel.shape}"
         )
-    length = x.shape[-1]
+    length = x.shape[-2]
     k = kernel.shape[1]
     pad = (k - 1) // 2
-    xp = np.zeros(x.shape[:-1] + (length + 2 * pad,), dtype=x.dtype)
-    xp[..., pad:pad + length] = x.data
+    xp = np.zeros(x.shape[:-2] + (length + 2 * pad, x.shape[-1]), dtype=x.dtype)
+    xp[..., pad:pad + length, :] = x.data
+    taps = kernel.data.T  # (k, channels): tap j scales every channel at once
     out_data = np.zeros(x.shape, dtype=x.dtype)
     for j in range(k):
-        out_data += kernel.data[:, j:j + 1] * xp[..., j:j + length]
+        out_data += taps[j] * xp[..., j:j + length, :]
 
     def backprop(g):
-        lead = tuple(range(g.ndim - 2))
+        lead = tuple(range(g.ndim - 1))
         gk = np.empty_like(kernel.data)
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gk[:, j] = (g * xp[..., j:j + length]).sum(axis=lead + (-1,))
-            gxp[..., j:j + length] += kernel.data[:, j:j + 1] * g
+            gk[:, j] = (g * xp[..., j:j + length, :]).sum(axis=lead)
+            gxp[..., j:j + length, :] += taps[j] * g
         _accum(kernel, gk)
-        _accum(x, gxp[..., pad:pad + length])
+        _accum(x, gxp[..., pad:pad + length, :])
 
     return _make(out_data, (x, kernel), backprop)
 
@@ -304,46 +276,45 @@ def conv1d(x, kernel) -> Tensor:
 def conv2d(x, kernels) -> Tensor:
     """Cross-channel 2-d convolution with zero same-padding.
 
-    ``x`` is (batch, in_channels, h, w) or one (in_channels, h, w) plane;
+    ``x`` is (batch, h, w, in_channels) or one (h, w, in_channels) plane;
     ``kernels`` is (out_channels, in_channels, k, k) with k odd. The output
     has out_channels in place of in_channels.
     """
     x, kernels = _coerce(x), _coerce(kernels)
     if x.ndim not in (3, 4) or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects ([B,] C, h, w) and 4-d kernels, got {x.shape}, {kernels.shape}")
+        raise ShapeError(f"conv2d expects ([B,] h, w, C) and 4-d kernels, got {x.shape}, {kernels.shape}")
     if kernels.shape[2] != kernels.shape[3]:
         raise ShapeError(f"conv2d kernels must be square, got {kernels.shape}")
     if kernels.shape[2] % 2 == 0:
         raise ConfigError(f"conv2d kernel width must be odd, got {kernels.shape[2]}")
-    if x.shape[-3] != kernels.shape[1]:
+    if x.shape[-1] != kernels.shape[1]:
         raise ShapeError(
             f"conv2d channel counts differ: input {x.shape} vs kernels {kernels.shape}"
         )
     xb = x.data.reshape((-1,) + x.shape[-3:])
-    batch, cin, h, w = xb.shape
+    batch, h, w, cin = xb.shape
     cout, k = kernels.shape[0], kernels.shape[2]
     pad = (k - 1) // 2
-    # im2col, channels last: one (batch*h*w, k*k*cin) matrix, so the whole
-    # batch is one matmul and every copy below moves contiguous channel runs
+    # im2col: one (batch*h*w, k*k*cin) matrix, so the whole batch is one
+    # matmul and every copy below moves contiguous channel runs
     xp = np.zeros((batch, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = xb.transpose(0, 2, 3, 1)
+    xp[:, pad:pad + h, pad:pad + w] = xb
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (batch, h, w, cin, k, k)
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * h * w, k * k * cin)
     kern2 = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    out_data = np.ascontiguousarray(
-        (cols @ kern2.T).reshape(batch, h, w, cout).transpose(0, 3, 1, 2))
+    out_data = (cols @ kern2.T).reshape(x.shape[:-1] + (cout,))
 
     def backprop(g):
-        g2 = g.reshape(batch, cout, h, w).transpose(0, 2, 3, 1).reshape(batch * h * w, cout)
+        g2 = g.reshape(batch * h * w, cout)
         _accum(kernels, (g2.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
         gcols = (g2 @ kern2).reshape(batch, h, w, k, k, cin)
         gxp = np.zeros_like(xp)
         for u in range(k):
             for v in range(k):
                 gxp[:, u:u + h, v:v + w] += gcols[:, :, :, u, v]
-        _accum(x, gxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2).reshape(x.shape))
+        _accum(x, gxp[:, pad:pad + h, pad:pad + w].reshape(x.shape))
 
-    return _make(out_data.reshape(x.shape[:-3] + (cout, h, w)), (x, kernels), backprop)
+    return _make(out_data, (x, kernels), backprop)
 
 
 # -- normalization and activations ---------------------------------------------
@@ -564,23 +535,6 @@ def concat(tensors) -> Tensor:
             offset += width
 
     return _make(out_data, tuple(tensors), backprop)
-
-
-def broadcast_to(x, shape) -> Tensor:
-    """Explicit broadcast; the adjoint sums over the expanded axes."""
-    x = _coerce(x)
-    shape = tuple(shape)
-    out_data = np.broadcast_to(x.data, shape).copy()
-    extra = len(shape) - x.ndim
-    summed = tuple(range(extra)) + tuple(
-        extra + i for i, s in enumerate(x.shape) if s == 1 and shape[extra + i] != 1
-    )
-
-    def backprop(g):
-        gx = g.sum(axis=summed) if summed else g
-        _accum(x, gx.reshape(x.shape))
-
-    return _make(out_data, (x,), backprop)
 
 
 # -- checking -----------------------------------------------------------------

@@ -262,15 +262,26 @@ def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
     return sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
 
 
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold indices into [0, n) by reflection about the end pixels, which are
+    not duplicated (period 2n - 2); when n == 1 every index maps to 0."""
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * n - 2
+    idx = idx % period
+    return np.where(idx > n - 1, period - idx, idx)
+
+
 def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
-    """p x p x bands window centered at (row, col) with reflect padding, cut from the
-    block within p // 2 of the center: a scene edge the window crosses bounds the block."""
+    """p x p x bands window centered at (row, col) with reflect padding, gathered
+    by reflected row and column indices (the rule ``scene_windows`` pads by)."""
+    if p % 2 == 0:
+        raise ConfigError(f"patch size must be odd, got {p}")
     if not (0 <= row < cube.rows and 0 <= col < cube.cols):
         raise ContractError(f"center ({row},{col}) outside {cube.rows}x{cube.cols} raster")
-    half = p // 2
-    top, left = max(0, row - half), max(0, col - half)
-    block = HsiCube(cube.values[top:row + half + 1, left:col + half + 1])
-    return scene_windows(block, p)[row - top, col - left].copy()
+    offsets = np.arange(p) - p // 2
+    return cube.values[np.ix_(_reflect(row + offsets, cube.rows),
+                              _reflect(col + offsets, cube.cols))]
 
 
 # -- augmentation --------------------------------------------------------------------
@@ -286,16 +297,7 @@ def _rotate_nearest(data: np.ndarray, degrees: float) -> np.ndarray:
     di, dj = ii - center, jj - center
     src_r = np.rint(center + cos_t * di + sin_t * dj).astype(np.int64)
     src_c = np.rint(center - sin_t * di + cos_t * dj).astype(np.int64)
-    if p == 1:
-        src_r[:] = 0
-        src_c[:] = 0
-    else:
-        period = 2 * p - 2
-        src_r %= period
-        src_r = np.where(src_r > p - 1, period - src_r, src_r)
-        src_c %= period
-        src_c = np.where(src_c > p - 1, period - src_c, src_c)
-    return data[src_r, src_c].copy()
+    return data[_reflect(src_r, p), _reflect(src_c, p)]
 
 
 AUGMENT_VARIANTS = 6  # arrays that augment returns per window

@@ -11,7 +11,10 @@ descriptor. The concatenated descriptor feeds a one-hidden-layer softmax
 classifier. Forward/backward/spatial branches can be disabled independently
 for ablations; the classifier is dimensioned at init from those flags.
 
-Every stage takes one patch or a batch of patches (a leading axis).
+Every stage takes one patch or a batch of patches (a leading axis), channels
+last: the pixel sequence is (..., p*p, bands), its projections (..., p*p,
+hidden) and the spatial grid (..., p, p, bands), so per-channel biases and the
+delta modulation add by trailing broadcast, with no transposes.
 ``model_forward`` returns the class probabilities and the logits; a caller that
 needs an intermediate value calls the stage it comes from (``normalize_input``,
 ``bi_network_forward``, ``spatial_forward``).
@@ -225,15 +228,10 @@ def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """One direction of the spectral block: depthwise conv over the sequence,
     activation, additive delta modulation inside tanh. Takes (..., length,
-    hidden) and returns the per-position hidden states, (..., hidden, length)."""
-    n = seq.ndim
-    channels_first = ad.transpose(seq, tuple(range(n - 2)) + (n - 1, n - 2))
-    conv_out = ad.activation(config.activation, ad.conv1d(channels_first, kernel))
-    delta = ad.softplus(params.delta_raw)
-    modulation = ad.matmul(mix, delta)              # (hidden,)
-    expanded = ad.broadcast_to(ad.reshape(modulation, (config.hidden_dim, 1)),
-                               conv_out.shape)
-    return ad.tanh(ad.add(conv_out, expanded))
+    hidden) and returns the per-position hidden states in the same layout."""
+    conv_out = ad.activation(config.activation, ad.conv1d(seq, kernel))
+    modulation = ad.matmul(mix, ad.softplus(params.delta_raw))    # (hidden,)
+    return ad.tanh(ad.add(conv_out, modulation))
 
 
 def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -245,27 +243,23 @@ def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig)
     if config.forward_on:
         x_proj = ad.matmul(x_norm, params.proj_fwd)
         h_fwd = _direction(x_proj, params.kernel_fwd, params.mix_fwd, params, config)
-        fwd_mean = ad.mean(h_fwd, axis=-1)
+        fwd_mean = ad.mean(h_fwd, axis=-2)
     if config.backward_on:
         z_rev = ad.flip(ad.matmul(x_norm, params.proj_bwd), axis=-2)
         h_bwd = _direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config)
-        bwd_mean = ad.mean(h_bwd, axis=-1)
+        bwd_mean = ad.mean(h_bwd, axis=-2)
     return ad.add(fwd_mean, bwd_mean)
 
 
-def spatial_forward(patch_norm_2d: Tensor, params: ModelParams,
-                    config: ModelConfig) -> Tensor:
-    """Spatial descriptor: 2-d convolution over the normalized patch plane
-    (..., bands, p, p), activation, then global average pooling to a
+def spatial_forward(grid: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
+    """Spatial descriptor: 2-d convolution over the normalized patch grid
+    (..., p, p, bands), bias, activation, then global average pooling to a
     (..., channels) vector."""
     if not config.spatial_on:
         raise ContractError("spatial_forward called with the spatial branch disabled")
-    conv = ad.conv2d(patch_norm_2d, params.spatial_kernels)
-    bias = ad.broadcast_to(
-        ad.reshape(params.spatial_bias, (config.spatial_channels, 1, 1)), conv.shape
-    )
-    activated = ad.activation(config.activation, ad.add(conv, bias))
-    return ad.mean(activated, axis=(-2, -1))
+    conv = ad.conv2d(grid, params.spatial_kernels)
+    activated = ad.activation(config.activation, ad.add(conv, params.spatial_bias))
+    return ad.mean(activated, axis=(-3, -2))
 
 
 def model_forward(patch, params: ModelParams,
@@ -276,13 +270,10 @@ def model_forward(patch, params: ModelParams,
     probabilities and the logits, (classes,) or (batch, classes)."""
     p = config.patch_size
     x_norm = normalize_input(patch, params, config)
-    lead = x_norm.shape[:-2]
     parts = []
     if config.spatial_on:
-        grid = ad.reshape(x_norm, lead + (p, p, config.bands))
-        n = len(lead)
-        plane = ad.transpose(grid, tuple(range(n)) + (n + 2, n, n + 1))
-        parts.append(spatial_forward(plane, params, config))
+        grid = ad.reshape(x_norm, x_norm.shape[:-2] + (p, p, config.bands))
+        parts.append(spatial_forward(grid, params, config))
     if config.spectral_on:
         parts.append(bi_network_forward(x_norm, params, config))
     h_final = parts[0] if len(parts) == 1 else ad.concat(parts)

@@ -323,7 +323,7 @@ def test_bi_network_palindrome_symmetry():
 def test_spatial_zero_patch_zero_bias_gives_zero():
     cfg = small_config()
     params = init_model(cfg, seed=0, dtype=np.float64)
-    out = spatial_forward(Tensor(np.zeros((6, 3, 3))), params, cfg)
+    out = spatial_forward(Tensor(np.zeros((3, 3, 6))), params, cfg)
     np.testing.assert_array_equal(out.data, np.zeros(3))
 
 
@@ -335,7 +335,7 @@ def test_spatial_degenerate_one_by_one_patch():
     params = init_model(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(5)
     spectrum = rng.standard_normal(4)
-    out = spatial_forward(Tensor(spectrum.reshape(4, 1, 1)), params, cfg)
+    out = spatial_forward(Tensor(spectrum.reshape(1, 1, 4)), params, cfg)
     w = params.spatial_kernels.data.reshape(3, 4)
     pre = w @ spectrum + params.spatial_bias.data
     expected = pre / (1.0 + np.exp(-pre))
@@ -348,7 +348,7 @@ def test_spatial_constant_patch_conv_oracle():
     params = init_model(cfg, seed=8, dtype=np.float64)
     params.spatial_kernels.data = np.ones((1, 1, 3, 3))
     params.spatial_bias.data = np.zeros(1)
-    patch = np.full((1, 3, 3), 2.0)
+    patch = np.full((3, 3, 1), 2.0)
     out = spatial_forward(Tensor(patch), params, cfg)
     # zero same-padding: corner sums 4 cells, edge 6, center 9
     conv = 2.0 * np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
@@ -360,7 +360,7 @@ def test_spatial_disabled_branch_rejected():
     cfg = small_config(spatial_on=False)
     params = init_model(cfg, seed=0)
     with pytest.raises(ContractError):
-        spatial_forward(Tensor(np.zeros((6, 3, 3))), params, cfg)
+        spatial_forward(Tensor(np.zeros((3, 3, 6))), params, cfg)
 
 
 # -- full forward -----------------------------------------------------------------------
@@ -413,8 +413,8 @@ def test_forward_trace_shapes():
     np.testing.assert_array_equal(probs.data, ad.softmax(logits).data)
     x_norm = normalize_input(patch, params, cfg)
     assert bi_network_forward(x_norm, params, cfg).shape == (4,)
-    plane = Tensor(x_norm.data.reshape(3, 3, 6).transpose(2, 0, 1))
-    assert spatial_forward(plane, params, cfg).shape == (3,)
+    grid = Tensor(x_norm.data.reshape(3, 3, 6))
+    assert spatial_forward(grid, params, cfg).shape == (3,)
 
 
 def test_forward_ablation_shrinks_feature_vector():

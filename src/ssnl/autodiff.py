@@ -348,9 +348,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # exp(-|d|) never overflows; both where-branches stay finite
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # neither exp overflows: this is 1/(1+e^-d) for d >= 0 and e^d/(1+e^d) below
+    return np.exp(np.minimum(d, 0)) / (1.0 + np.exp(-np.abs(d)))
 
 
 def silu(x) -> Tensor:

@@ -128,10 +128,9 @@ def family_comparison(batch: int, height: int, width: int, bands: int,
     )
 
 
-def render_complexity_report(config: ModelConfig, batch: int = 1,
-                             train_seconds: float | None = None,
-                             test_seconds: float | None = None) -> str:
-    """Text table with flops / parameter / timing columns."""
+def render_complexity_report(config: ModelConfig, batch: int = 1) -> str:
+    """Text table of MACs, FLOPs, elementwise units and parameters, and the
+    family comparison."""
     macs = estimate_flops(config, batch)
     rows = [
         ("MACs", f"{macs}"),
@@ -139,8 +138,6 @@ def render_complexity_report(config: ModelConfig, batch: int = 1,
         ("Elementwise units", f"{batch * elementwise_per_patch(config)}"),
         ("Parameters", f"{count_params(config)}"),
         ("Param bytes (f32)", f"{param_bytes(config)}"),
-        ("Training time (s)", f"{train_seconds:.2f}" if train_seconds is not None else "-"),
-        ("Testing time (s)", f"{test_seconds:.2f}" if test_seconds is not None else "-"),
     ]
     width_left = max(len(r[0]) for r in rows)
     lines = [f"batch={batch} patch={config.patch_size} bands={config.bands}"]

@@ -19,15 +19,21 @@ delta modulation add by trailing broadcast, with no transposes.
 needs an intermediate value calls the stage it comes from (``normalize_input``,
 ``bi_network_forward``, ``spatial_forward``).
 
+Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
+view of its slice, in ``expected_shapes`` order, the one statement of that
+order. Adam and the gradient clip update ``flat`` once per step. Assign values
+in place (``t.data[...] = v``): rebinding ``t.data`` detaches it from ``flat``.
+
 Checkpoint format: ASCII magic line ``SSNLCKPT1\\n``; one ASCII config line
 with all ModelConfig fields space-separated in field order (bools as 0/1),
 each read back by ``parse_field``, the same reader the CLI's ``--set`` uses;
-then every parameter tensor in ``ModelParams.named_tensors`` order, each as
-an ASCII shape line followed by little-endian 32-bit floats.
+then every parameter tensor in ``expected_shapes`` order, each as an ASCII
+shape line followed by little-endian 32-bit floats, all of them finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, fields
 
 import numpy as np
@@ -35,7 +41,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import HsiCube, scene_windows
-from .errors import ConfigError, ContractError, MagicError, ShapeError, TruncatedError
+from .errors import (ConfigError, ContractError, FormatError, MagicError, NumericalError,
+                     ShapeError, TruncatedError)
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
 INFERENCE_CHUNK = 32  # patches per batched inference forward
@@ -109,57 +116,58 @@ def parse_field(f: Field, text: str):
     return {"int": int, "float": float, "str": str}[kind](text)
 
 
-@dataclass
 class ModelParams:
-    """Every learnable tensor, as autodiff leaves.
+    """Every learnable tensor, as autodiff leaves whose data are views of one
+    vector, ``flat``, sliced in ``expected_shapes`` order (see the module
+    docstring).
 
     All tensors exist regardless of ablation flags (so checkpoints are flag
     independent in layout); only the classifier input width follows the flags.
     """
 
-    norm_gain: Tensor
-    norm_bias: Tensor
-    proj_fwd: Tensor       # bands x hidden projection feeding the forward path
-    proj_bwd: Tensor       # bands x hidden projection feeding the reversed path
-    kernel_fwd: Tensor     # hidden x seq_kernel depthwise kernels
-    kernel_bwd: Tensor
-    mix_fwd: Tensor        # hidden x hidden modulation mix for the forward path
-    mix_bwd: Tensor
-    delta_raw: Tensor      # hidden-vector, softplus-mapped to the positive deltas
-    spatial_kernels: Tensor
-    spatial_bias: Tensor
-    classifier_w1: Tensor
-    classifier_b1: Tensor
-    classifier_w2: Tensor
-    classifier_b2: Tensor
+    def __init__(self, flat: np.ndarray, config: ModelConfig):
+        self.flat = flat
+        self._tensors: dict[str, Tensor] = {}
+        offset = 0
+        for name, shape in expected_shapes(config).items():
+            size = math.prod(shape)
+            self._tensors[name] = Tensor(flat[offset:offset + size].reshape(shape),
+                                        requires_grad=True)
+            offset += size
+        self.__dict__.update(self._tensors)
 
     def named_tensors(self):
-        """Yield (name, tensor) in the fixed serialization order."""
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        """(name, tensor) pairs in ``expected_shapes`` order."""
+        return self._tensors.items()
 
     @property
     def dtype(self):
-        return self.norm_gain.dtype
+        return self.flat.dtype
 
     def zero_grads(self):
-        for _, t in self.named_tensors():
+        for t in self._tensors.values():
             t.zero_grad()
+
+    def flat_grad(self) -> np.ndarray:
+        """Every leaf's gradient in ``flat`` order; zeros for an unreached leaf."""
+        return np.concatenate([t.grad_array().ravel() for t in self._tensors.values()])
 
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor, in the one parameter order: the order of
+    ``ModelParams.flat``, of ``init_model``'s draws and of the checkpoint."""
     ch, d = config.bands, config.hidden_dim
     s, hc, k = config.spatial_channels, config.classifier_hidden, config.num_classes
     return {
         "norm_gain": (ch,),
         "norm_bias": (ch,),
-        "proj_fwd": (ch, d),
-        "proj_bwd": (ch, d),
-        "kernel_fwd": (d, config.seq_kernel),
+        "proj_fwd": (ch, d),          # projection feeding the forward path
+        "proj_bwd": (ch, d),          # projection feeding the reversed path
+        "kernel_fwd": (d, config.seq_kernel),  # depthwise sequence kernels
         "kernel_bwd": (d, config.seq_kernel),
-        "mix_fwd": (d, d),
+        "mix_fwd": (d, d),            # modulation mix of each direction
         "mix_bwd": (d, d),
-        "delta_raw": (d,),
+        "delta_raw": (d,),            # softplus-mapped to the positive deltas
         "spatial_kernels": (s, ch, config.spatial_kernel, config.spatial_kernel),
         "spatial_bias": (s,),
         "classifier_w1": (hc, config.feature_dim),
@@ -187,18 +195,16 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     (-1/sqrt(fan_in), +1/sqrt(fan_in)); norm gain ones; deltas and biases zero."""
     config.validate()
     rng = np.random.default_rng(seed)
-    shapes = expected_shapes(config)
-    tensors: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    arrays = []
+    for name, shape in expected_shapes(config).items():
         if name in _FAN_IN:
             bound = 1.0 / np.sqrt(_FAN_IN[name](config))
-            arr = rng.uniform(-bound, bound, size=shape)
+            arrays.append(rng.uniform(-bound, bound, size=shape))
         elif name == "norm_gain":
-            arr = np.ones(shape)
+            arrays.append(np.ones(shape))
         else:
-            arr = np.zeros(shape)
-        tensors[name] = Tensor(arr.astype(dtype), requires_grad=True)
-    return ModelParams(**tensors)
+            arrays.append(np.zeros(shape))
+    return ModelParams(np.concatenate([a.ravel() for a in arrays]).astype(dtype), config)
 
 
 # -- forward stages ------------------------------------------------------------------
@@ -291,6 +297,8 @@ def predict(patch, params: ModelParams, config: ModelConfig):
     """Class ids in 1..num_classes of one patch or a batch; ties go to the lowest id."""
     with ad.no_grad():
         probs, _ = model_forward(patch, params, config)
+    if not np.isfinite(probs.data).all():
+        raise NumericalError("non-finite class probabilities")
     return np.argmax(probs.data, axis=-1) + 1
 
 
@@ -366,9 +374,8 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
     config = _parse_config_line(buf[offset:end], str(path))
     offset = end + 1
 
-    shapes = expected_shapes(config)
-    tensors: dict[str, Tensor] = {}
-    for name, want in shapes.items():
+    payloads = []
+    for name, want in expected_shapes(config).items():
         end = buf.find(b"\n", offset)
         if end < 0:
             raise TruncatedError(f"{path}: missing shape line for {name}")
@@ -380,13 +387,14 @@ def load_model(path) -> tuple[ModelParams, ModelConfig]:
         if got != want:
             raise ShapeError(f"{path}: {name} has shape {got}, expected {want}")
         offset = end + 1
-        count = int(np.prod(want, dtype=np.int64))
-        nbytes = count * 4
-        if len(buf) - offset < nbytes:
+        count = math.prod(want)
+        if len(buf) - offset < count * 4:
             raise TruncatedError(f"{path}: truncated payload for {name}")
-        arr = np.frombuffer(buf[offset:offset + nbytes], dtype="<f4").reshape(want)
-        offset += nbytes
-        tensors[name] = Tensor(arr.astype(np.float32), requires_grad=True)
+        payloads.append(np.frombuffer(buf, dtype="<f4", count=count, offset=offset))
+        offset += count * 4
     if offset != len(buf):
         raise ShapeError(f"{path}: {len(buf) - offset} trailing bytes")
-    return ModelParams(**tensors), config
+    flat = np.concatenate(payloads, dtype=np.float32)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite parameter value")
+    return ModelParams(flat, config), config

@@ -54,18 +54,13 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+    """First and second moments, one entry per element of ``params.flat``."""
 
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(t.data) for name, t in params.named_tensors()},
-            v={name: np.zeros_like(t.data) for name, t in params.named_tensors()},
-        )
+    def __init__(self, params: ModelParams):
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self.t = 0
 
 
 @dataclass
@@ -121,43 +116,33 @@ def _mix_seed(*values: int) -> int:
     return h
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
               config: TrainConfig) -> tuple[ModelParams, AdamState]:
-    """One Adam update over every parameter tensor, in place."""
+    """One Adam update of ``params.flat`` in place, from the matching flat
+    gradient (``params.flat_grad()``)."""
+    finite = np.isfinite(grad)
+    if not finite.all():
+        names, sizes = zip(*((name, t.size) for name, t in params.named_tensors()))
+        name = names[np.searchsorted(np.cumsum(sizes), np.argmin(finite), side="right")]
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    t = state.t
-    bias1 = 1.0 - config.beta1 ** t
-    bias2 = 1.0 - config.beta2 ** t
-    for name, tensor in params.named_tensors():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        tensor.data -= (config.learning_rate * m_hat /
-                        (np.sqrt(v_hat) + config.adam_eps)).astype(tensor.data.dtype)
+    bias1 = 1.0 - config.beta1 ** state.t
+    bias2 = 1.0 - config.beta2 ** state.t
+    state.m *= config.beta1
+    state.m += (1.0 - config.beta1) * grad
+    state.v *= config.beta2
+    state.v += (1.0 - config.beta2) * (grad * grad)
+    m_hat = state.m / bias1
+    v_hat = state.v / bias2
+    params.flat -= (config.learning_rate * m_hat /
+                    (np.sqrt(v_hat) + config.adam_eps)).astype(params.dtype)
     return params, state
 
 
-def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.grad_array() for name, t in params.named_tensors()}
-
-
-def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float):
-    total = float(sum((g.astype(np.float64) ** 2).sum() for g in grads.values()))
-    norm = total ** 0.5
-    if norm > max_norm:
-        scale = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * scale
+def _clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """``grad`` scaled down to global L2 norm ``max_norm`` if it is longer."""
+    norm = float((grad.astype(np.float64) ** 2).sum()) ** 0.5
+    return grad * (max_norm / norm) if norm > max_norm else grad
 
 
 def _training_samples(cube: HsiCube, split: SplitSpec, config: ModelConfig,
@@ -190,7 +175,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
         missing = ", ".join(str(c) for c in split.skipped) or "all"
         raise ConfigError(f"empty training split (classes with no samples: {missing})")
     params = init_model(model_config, train_config.seed)
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     report = TrainReport()
 
     start = time.perf_counter()
@@ -216,10 +201,10 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite training loss at epoch {epoch + 1}")
             epoch_loss += value * len(batch)
-            grads = _collect_grads(params)
+            grad = params.flat_grad()
             if train_config.clip_norm is not None:
-                _clip_global_norm(grads, train_config.clip_norm)
-            adam_step(params, grads, state, train_config)
+                grad = _clip_global_norm(grad, train_config.clip_norm)
+            adam_step(params, grad, state, train_config)
         mean_loss = epoch_loss / n
         report.losses.append(mean_loss)
         report.train_accuracy.append(correct / n)
@@ -259,15 +244,13 @@ def gradient_check_model(config: ModelConfig, seed: int, step: float = 1e-5) -> 
         (config.patch_size, config.patch_size, config.bands)
     )
     label = 1 + int(rng.integers(config.num_classes))
-    names = [name for name, _ in params.named_tensors()]
-    leaves = [t for _, t in params.named_tensors()]
 
-    def fn(*tensors):
-        p = ModelParams(**dict(zip(names, tensors)))
-        _, logits = model_forward(patch, p, config)
+    def fn(*_leaves):
+        # grad_check perturbs the leaves in place, so params sees every step
+        _, logits = model_forward(patch, params, config)
         return cross_entropy(logits, label)
 
-    return ad.grad_check(fn, leaves, step=step)
+    return ad.grad_check(fn, [t for _, t in params.named_tensors()], step=step)
 
 
 def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,

@@ -288,6 +288,28 @@ def test_softplus_positive_and_stable():
     assert out.data[2] == pytest.approx(1e9)
 
 
+def _where_sigmoid(d):
+    # the stable two-branch form, kept as the oracle of ad._sigmoid
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_equals_where_form(dtype):
+    rng = np.random.default_rng(0)
+    info = np.finfo(dtype)
+    scales = (1e-3, 1e-2, 0.1, 1, 10, 1e2, 1e3, 1e4)
+    draws = [rng.standard_normal(50_000) * scale for scale in scales]
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+             info.smallest_normal, -info.smallest_normal, info.max, -info.max,
+             np.inf, -np.inf]
+    d = np.concatenate(draws + [np.array(edges)]).astype(dtype)
+    got, want = ad._sigmoid(d), _where_sigmoid(d)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(ad._sigmoid(np.array([np.nan], dtype=dtype))).all()
+
+
 # -- softmax ------------------------------------------------------------------------
 
 

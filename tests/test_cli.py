@@ -334,6 +334,44 @@ def test_map_checkpoint_with_non_integer_shape_is_contract_error(tmp_path, capsy
     assert "norm_gain" in capsys.readouterr().err
 
 
+def _edited_checkpoint_run(tmp_path, command, name, value):
+    """Train a tiny model, set every value of parameter ``name`` to ``value``
+    (a NaN only in its first element), save it, and run ``command`` on it."""
+    from ssnl.model import load_model, save_model
+
+    argv, cube, labels = synth_args(tmp_path, rows=5, cols=5)
+    main(argv)
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    main(train_args(cube, labels, model, report))
+    params, cfg = load_model(model)
+    tensor = getattr(params, name)
+    if np.isnan(value):
+        tensor.data.flat[0] = value
+    else:
+        tensor.data[...] = value
+    save_model(model, params, cfg)
+    if command == "eval":
+        return main(["eval", "--cube", str(cube), "--labels", str(labels), "--model",
+                     str(model), "--ratio", "0.2", "--split-seed", "0"])
+    return main(["map", "--cube", str(cube), "--model", str(model),
+                 "--out-image", str(tmp_path / "x.ppm")])
+
+
+@pytest.mark.parametrize("command", ["eval", "map"])
+def test_checkpoint_with_nan_weight_is_format_error(tmp_path, capsys, command):
+    assert _edited_checkpoint_run(tmp_path, command, "norm_gain", np.nan) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "map"])
+def test_non_finite_probabilities_are_numerical_error(tmp_path, capsys, command):
+    # finite weights whose logits overflow float32: softmax gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = _edited_checkpoint_run(tmp_path, command, "classifier_w2", 3e38)
+    assert code == 4
+    assert "non-finite class probabilities" in capsys.readouterr().err
+
+
 def _ppm_classes(path, rows, cols, classes):
     raw = path.read_bytes()
     rgb = np.frombuffer(raw[raw.index(b"255\n") + 4:], dtype=np.uint8).reshape(rows, cols, 3)

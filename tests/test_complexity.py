@@ -147,10 +147,3 @@ def test_report_batch_doubling_doubles_macs_line():
     macs_one = int(next(l for l in one.splitlines() if l.startswith("MACs")).split()[-1])
     macs_two = int(next(l for l in two.splitlines() if l.startswith("MACs")).split()[-1])
     assert macs_two == 2 * macs_one
-
-
-def test_report_contains_timing_columns():
-    text = render_complexity_report(cfg(), batch=1, train_seconds=12.5,
-                                    test_seconds=0.75)
-    assert "Training time (s)  12.50" in text
-    assert "Testing time (s)   0.75" in text

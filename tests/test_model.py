@@ -3,10 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssnl import autodiff as ad
 from ssnl.autodiff import Tensor
-from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError
+from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
     _config_line,
@@ -22,7 +24,7 @@ from ssnl.model import (
     save_model,
     spatial_forward,
 )
-from ssnl.train import cross_entropy, gradient_check_model
+from ssnl.train import AdamState, TrainConfig, adam_step, cross_entropy, gradient_check_model
 
 
 def small_config(**overrides):
@@ -575,6 +577,102 @@ def test_checkpoint_preserves_ablation_flags(tmp_path):
     save_model(path, params, cfg)
     _, loaded_cfg = load_model(path)
     assert loaded_cfg.backward_on is False and loaded_cfg.forward_on is True
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_param_tensors_are_views_of_flat(tmp_path, load):
+    cfg = small_config()
+    params = init_model(cfg, seed=4)
+    if load:
+        save_model(tmp_path / "m.ckpt", params, cfg)
+        params, _ = load_model(tmp_path / "m.ckpt")
+    offset = 0
+    for name, shape in expected_shapes(cfg).items():
+        tensor = getattr(params, name)
+        size = math.prod(shape)
+        assert tensor.shape == shape, name
+        assert np.shares_memory(tensor.data, params.flat[offset:offset + size]), name
+        np.testing.assert_array_equal(tensor.data.ravel(), params.flat[offset:offset + size])
+        offset += size
+    assert offset == params.flat.size
+    before = {name: t.data.copy() for name, t in params.named_tensors()}
+    rng = np.random.default_rng(5)
+    grad = rng.standard_normal(params.flat.shape).astype(np.float32)
+    adam_step(params, grad, AdamState(params), TrainConfig(learning_rate=1e-2))
+    for name, tensor in params.named_tensors():
+        assert not np.array_equal(tensor.data, before[name]), name
+
+
+def test_flat_grad_places_leaf_grads_at_their_offsets_and_zeros_for_unreached():
+    cfg = small_config(backward_on=False)
+    params = init_model(cfg, seed=6)
+    _, logits = model_forward(random_patch(cfg, seed=7), params, cfg)
+    cross_entropy(logits, 1).backward()
+    grad = params.flat_grad()
+    assert grad.shape == params.flat.shape and grad.dtype == params.flat.dtype
+    offset = 0
+    for name, shape in expected_shapes(cfg).items():
+        size = math.prod(shape)
+        leaf_grad = getattr(params, name).grad
+        if name in ("proj_bwd", "kernel_bwd", "mix_bwd"):
+            assert leaf_grad is None, name
+            assert not grad[offset:offset + size].any(), name
+        else:
+            np.testing.assert_array_equal(grad[offset:offset + size], leaf_grad.ravel())
+        offset += size
+
+
+def test_checkpoint_round_trip_keeps_flat_bitwise(tmp_path):
+    cfg = small_config()
+    params = init_model(cfg, seed=8)
+    rng = np.random.default_rng(9)
+    params.flat[...] = rng.standard_normal(params.flat.shape).astype(np.float32)
+    save_model(tmp_path / "m.ckpt", params, cfg)
+    loaded, loaded_cfg = load_model(tmp_path / "m.ckpt")
+    assert loaded_cfg == cfg
+    assert loaded.flat.dtype == np.float32
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+
+_FUZZ_CONFIG = small_config(hidden_dim=2, spatial_channels=2, classifier_hidden=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid checkpoint's bytes and a scratch path for its edited copies."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_model(folder / "base.ckpt", init_model(_FUZZ_CONFIG, seed=18), _FUZZ_CONFIG)
+    return (folder / "base.ckpt").read_bytes(), folder / "edited.ckpt"
+
+
+_edits = st.one_of(
+    st.tuples(st.just("mutate"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                                           min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edit=_edits)
+def test_load_model_refuses_damaged_checkpoints_with_typed_errors(fuzz_files, edit):
+    # byte-mutated, truncated and extended checkpoints load or raise SsnlError only
+    base, path = fuzz_files
+    raw = bytearray(base)
+    kind, arg = edit
+    if kind == "mutate":
+        for pos, value in arg:
+            raw[pos % len(raw)] = value
+    elif kind == "truncate":
+        del raw[arg % len(raw):]
+    else:
+        raw += arg
+    path.write_bytes(bytes(raw))
+    try:
+        params, _ = load_model(path)
+    except SsnlError:
+        return
+    assert np.isfinite(params.flat).all()
 
 
 # -- end-to-end gradient check ------------------------------------------------------------

@@ -74,25 +74,22 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 def test_adam_zero_gradient_keeps_params():
     cfg = tiny_model_config()
     params = init_model(cfg, seed=0)
-    before = {n: t.data.copy() for n, t in params.named_tensors()}
-    state = AdamState.for_params(params)
-    grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors()}
-    adam_step(params, grads, state, TrainConfig())
+    before = params.flat.copy()
+    state = AdamState(params)
+    adam_step(params, np.zeros_like(params.flat), state, TrainConfig())
     assert state.t == 1
-    for name, tensor in params.named_tensors():
-        np.testing.assert_array_equal(tensor.data, before[name])
+    np.testing.assert_array_equal(params.flat, before)
 
 
 def test_adam_single_step_hand_evaluated():
     # scalar parameter, g=1, t=1: bias-corrected m=v=1, step = lr / (1 + eps)
     cfg = tiny_model_config()
     params = init_model(cfg, seed=1)
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     tc = TrainConfig(learning_rate=5e-4)
     before = params.delta_raw.data.copy()
-    grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors()}
-    grads["delta_raw"] = np.ones_like(params.delta_raw.data)
-    adam_step(params, grads, state, tc)
+    params.delta_raw.grad = np.ones_like(params.delta_raw.data)
+    adam_step(params, params.flat_grad(), state, tc)
     moved = before - params.delta_raw.data
     expected = tc.learning_rate / (1.0 + tc.adam_eps)
     np.testing.assert_allclose(moved, np.full_like(moved, expected), rtol=1e-6)
@@ -103,29 +100,27 @@ def test_adam_deterministic_trajectories():
 
     def run():
         params = init_model(cfg, seed=2)
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         rng = np.random.default_rng(3)
         tc = TrainConfig(learning_rate=1e-3)
         for _ in range(5):
-            grads = {n: rng.standard_normal(t.shape).astype(np.float32)
-                     for n, t in params.named_tensors()}
-            adam_step(params, grads, state, tc)
-        return {n: t.data.copy() for n, t in params.named_tensors()}
+            grad = rng.standard_normal(params.flat.shape).astype(np.float32)
+            adam_step(params, grad, state, tc)
+        return params.flat.copy()
 
-    a, b = run(), run()
-    for name in a:
-        np.testing.assert_array_equal(a[name], b[name])
+    np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_rejects_non_finite_gradient():
     cfg = tiny_model_config()
     params = init_model(cfg, seed=3)
-    state = AdamState.for_params(params)
-    grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors()}
-    grads["mix_fwd"] = np.full_like(params.mix_fwd.data, np.nan)
+    before = params.flat.copy()
+    state = AdamState(params)
+    params.mix_fwd.grad = np.full_like(params.mix_fwd.data, np.nan)
     with pytest.raises(NumericalError) as exc:
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, params.flat_grad(), state, TrainConfig())
     assert "mix_fwd" in str(exc.value)
+    np.testing.assert_array_equal(params.flat, before)
 
 
 # -- train loop -----------------------------------------------------------------------
@@ -204,10 +199,12 @@ def test_train_augmentation_expands_samples_sixfold():
 def test_gradient_clipping_bounds_global_norm():
     from ssnl.train import _clip_global_norm
 
-    grads = {"a": np.full(4, 10.0), "b": np.full(9, -10.0)}
-    _clip_global_norm(grads, 5.0)
-    total = sum((g ** 2).sum() for g in grads.values())
-    assert math.sqrt(total) == pytest.approx(5.0, rel=1e-9)
+    grad = np.concatenate([np.full(4, 10.0), np.full(9, -10.0)])
+    clipped = _clip_global_norm(grad, 5.0)
+    assert math.sqrt((clipped ** 2).sum()) == pytest.approx(5.0, rel=1e-9)
+    np.testing.assert_allclose(clipped / grad, np.full(13, 5.0 / math.sqrt(1300.0)))
+    short = np.full(3, 0.1)
+    assert _clip_global_norm(short, 5.0) is short
 
 
 def test_serialize_report_round_structure():

@@ -24,7 +24,7 @@ cube, labels = synthesize_cube(rows=24, cols=20, bands=16, classes=4,
                                noise_sigma=0.05, seed=7)
 print(f"cube: {cube.rows}x{cube.cols}x{cube.bands}, "
       f"values in [{cube.values.min():.3f}, {cube.values.max():.3f}]")
-print(f"labels: {sorted(np.unique(labels.labels))} (0 would mean unlabeled)")
+print(f"labels: {np.unique(labels.labels).tolist()} (0 would mean unlabeled)")
 
 for cls in range(1, 5):
     mean_spectrum = cube.values[labels.labels == cls].mean(axis=0)
@@ -52,11 +52,14 @@ scaled = scale_bands(reloaded)
 print(f"\nscaled range: [{scaled.values.min():.1f}, {scaled.values.max():.1f}]")
 
 # Stratified splitting: per class, a seeded shuffle sends the first
-# max(1, floor(ratio * n)) pixels to train and the rest to test.
+# max(1, floor(ratio * n)) pixels to train and the rest to test. A split is two
+# (n, 2) arrays of (row, col), grouped by class in increasing order.
 split = split_samples(labels, ratio=0.10, seed=3)
-for cls in sorted(split.train):
-    n = (labels.labels == cls).sum()
-    print(f"class {cls}: {n} px -> {len(split.train[cls])} train / "
-          f"{len(split.test[cls])} test")
-print("train+test =", split.train_count() + split.test_count(),
+print(f"\nfirst training pixels (row, col): {split.train[:3].tolist()}")
+pixels = np.bincount(labels.labels.ravel(), minlength=5)
+trained = np.bincount(labels.labels[split.train[:, 0], split.train[:, 1]], minlength=5)
+tested = np.bincount(labels.labels[split.test[:, 0], split.test[:, 1]], minlength=5)
+for cls in range(1, 5):
+    print(f"class {cls}: {pixels[cls]} px -> {trained[cls]} train / {tested[cls]} test")
+print("train+test =", len(split.train) + len(split.test),
       "of", (labels.labels > 0).sum(), "labeled")

@@ -1,6 +1,6 @@
 """End-to-end: synthesize, split, train, score.
 
-Run:  python demos/03_train_and_evaluate.py   (about half a minute)
+Run:  python demos/03_train_and_evaluate.py   (a few seconds)
 """
 
 from ssnl import (
@@ -19,7 +19,7 @@ cube, labels = synthesize_cube(rows=24, cols=24, bands=16, classes=3,
                                noise_sigma=0.05, seed=11)
 cube = scale_bands(cube)
 split = split_samples(labels, ratio=0.10, seed=11)
-print(f"{split.train_count()} training px, {split.test_count()} test px")
+print(f"{len(split.train)} training px, {len(split.test)} test px")
 
 model_config = ModelConfig(bands=16, num_classes=3, patch_size=5,
                            hidden_dim=24, spatial_channels=12,
@@ -37,8 +37,7 @@ print(f"timings: train {report.train_seconds:.1f}s, "
 print("\ntest-split scores:")
 print(render_report(report.confusion))
 
-# the same confusion matrix, scored directly
-coords = [(r, c) for _, r, c in split.test_items()]
-cm = evaluate(params, model_config, cube, labels, coords)
+# the same confusion matrix, scored directly from the test coordinates
+cm = evaluate(params, model_config, cube, labels, split.test)
 assert overall_accuracy(cm) == overall_accuracy(report.confusion)
 print(f"\nre-evaluated: OA {overall_accuracy(cm):.4f}, kappa {kappa(cm):.4f}")

@@ -8,8 +8,7 @@ import numpy as np
 from ssnl import (
     ModelConfig,
     TrainConfig,
-    extract_window,
-    predict,
+    predict_pixels,
     render_class_map,
     scale_bands,
     split_samples,
@@ -29,11 +28,10 @@ params, report = train(cube, labels, split, config,
                        TrainConfig(epochs=8, seed=21))
 print(f"trained: final loss {report.losses[-1]:.4f}")
 
-ids = np.zeros((cube.rows, cube.cols), dtype=np.int64)
-for row in range(cube.rows):
-    for col in range(cube.cols):
-        window = extract_window(cube, row, col, config.patch_size)
-        ids[row, col] = predict(window.astype(np.float32), params, config)
+# every pixel, in the fixed inference batches `ssnl map` uses, so the two agree
+# pixel for pixel
+pixels = np.indices((cube.rows, cube.cols)).reshape(2, -1).T
+ids = predict_pixels(cube, pixels, params, config).reshape(cube.rows, cube.cols)
 
 agreement = (ids == labels.labels).mean()
 print(f"pixel agreement with ground truth: {agreement:.3f}")

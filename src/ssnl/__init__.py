@@ -30,7 +30,7 @@ from .data import (
     write_labels,
 )
 from .metrics import render_report
-from .model import ModelConfig, load_model, predict, save_model
+from .model import ModelConfig, load_model, predict, predict_pixels, save_model
 from .render import render_class_map, write_ppm
 from .train import TrainConfig, evaluate, train
 
@@ -50,6 +50,7 @@ __all__ = [
     "load_model",
     "param_bytes",
     "predict",
+    "predict_pixels",
     "render_class_map",
     "render_complexity_report",
     "render_report",

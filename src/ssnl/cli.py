@@ -196,8 +196,7 @@ def cmd_eval(args) -> int:
             f"model expects {config.bands} bands but cube has {cube.bands}"
         )
     split = split_samples(labels, args.ratio, args.split_seed)
-    coords = [(r, c) for _, r, c in split.test_items()]
-    cm = evaluate(params, config, cube, labels, coords)
+    cm = evaluate(params, config, cube, labels, split.test)
     print(f"# eval model={args.model} cube={args.cube} ratio={args.ratio} "
           f"split_seed={args.split_seed}")
     print(render_report(cm))

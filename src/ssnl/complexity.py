@@ -12,35 +12,17 @@ Conventions, documented precisely because published "FLOPs" figures vary:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, expected_shapes
 
 
 def count_params(config: ModelConfig) -> int:
-    """Exact learnable-element count; equals the serialized checkpoint's
-    total element count by construction.
-
-    Closed form (ch=bands, d=hidden, k1/k2=kernels, s=spatial channels,
-    hc=classifier hidden, k=classes, f=feature_dim under the ablation flags):
-    2*ch + 2*ch*d + 2*d*k1 + 2*d^2 + d + s*ch*k2^2 + s + hc*f + hc + k*hc + k
-    """
-    ch, d = config.bands, config.hidden_dim
-    s, hc, k = config.spatial_channels, config.classifier_hidden, config.num_classes
-    return (
-        2 * ch
-        + 2 * ch * d
-        + 2 * d * config.seq_kernel
-        + 2 * d * d
-        + d
-        + s * ch * config.spatial_kernel ** 2
-        + s
-        + hc * config.feature_dim
-        + hc
-        + k * hc
-        + k
-    )
+    """Exact learnable-element count: the element counts of the tensors in
+    ``expected_shapes``, which the checkpoint serializes."""
+    return sum(math.prod(shape) for shape in expected_shapes(config).values())
 
 
 def param_bytes(config: ModelConfig) -> int:

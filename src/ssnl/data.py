@@ -1,5 +1,10 @@
 """Hyperspectral cubes, labels, synthetic scenes, splits, patches, augmentation.
 
+A set of pixels (a split's train or test part) is an (n, 2) int64 array of
+(row, col). Windows reflect about the raster edges by one rule, ``_reflect``,
+for whole-scene windows, single windows and the rotation fill; ``augment``
+maps a stack of windows to its six geometric variants by one index table.
+
 On-disk formats (both bit-exact round-trippable):
 
 * Cube file — ASCII magic line ``HSICUBE1\\n``; ASCII header line
@@ -13,7 +18,7 @@ On-disk formats (both bit-exact round-trippable):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,30 +90,12 @@ class LabelRaster:
 
 @dataclass
 class SplitSpec:
-    """Per-class train/test pixel coordinates derived from (labels, ratio, seed)."""
+    """Train and test pixels as (n, 2) int64 arrays of (row, col), derived from
+    (labels, ratio, seed). Each array is grouped by class in increasing order,
+    and within a class keeps the seeded shuffle order."""
 
-    seed: int
-    ratio: float
-    train: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    test: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    skipped: list[int] = field(default_factory=list)
-
-    def train_items(self):
-        """Yield (class_id, row, col) in the fixed (class, shuffled index) order."""
-        for cls in sorted(self.train):
-            for row, col in self.train[cls]:
-                yield cls, row, col
-
-    def test_items(self):
-        for cls in sorted(self.test):
-            for row, col in self.test[cls]:
-                yield cls, row, col
-
-    def train_count(self) -> int:
-        return sum(len(v) for v in self.train.values())
-
-    def test_count(self) -> int:
-        return sum(len(v) for v in self.test.values())
+    train: np.ndarray
+    test: np.ndarray
 
 
 # -- file IO --------------------------------------------------------------------
@@ -229,26 +216,36 @@ def synthesize_cube(
 
 def split_samples(labels: LabelRaster, ratio: float, seed: int) -> SplitSpec:
     """Stratified split: per class, a seeded shuffle puts the first
-    max(1, floor(ratio*n)) pixels in train and the rest in test."""
+    max(1, floor(ratio*n)) pixels in train and the rest in test. A class with
+    no pixel draws no shuffle and contributes no coordinate."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0,1), got {ratio}")
     rng = np.random.default_rng(seed)
-    spec = SplitSpec(seed=seed, ratio=ratio)
+    train = [np.empty((0, 2), dtype=np.int64)]
+    test = [np.empty((0, 2), dtype=np.int64)]
     for cls in range(1, labels.num_classes + 1):
         coords = np.argwhere(labels.labels == cls)
-        n = len(coords)
-        if n == 0:
-            spec.skipped.append(cls)
+        if len(coords) == 0:
             continue
-        order = rng.permutation(n)
-        take = max(1, int(math.floor(ratio * n)))
-        shuffled = coords[order]
-        spec.train[cls] = [(int(r), int(c)) for r, c in shuffled[:take]]
-        spec.test[cls] = [(int(r), int(c)) for r, c in shuffled[take:]]
-    return spec
+        shuffled = coords[rng.permutation(len(coords))]
+        take = max(1, int(math.floor(ratio * len(coords))))
+        train.append(shuffled[:take])
+        test.append(shuffled[take:])
+    return SplitSpec(np.concatenate(train), np.concatenate(test))
 
 
 # -- patches ------------------------------------------------------------------------
+
+
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold indices into [0, n) by reflection about the end pixels, which are
+    not duplicated (period 2n - 2); when n == 1 every index maps to 0. The one
+    reflect rule of scene windows, single windows and the rotation fill."""
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * n - 2
+    idx = idx % period
+    return np.where(idx > n - 1, period - idx, idx)
 
 
 def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
@@ -258,18 +255,9 @@ def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
     if p % 2 == 0:
         raise ConfigError(f"patch size must be odd, got {p}")
     half = p // 2
-    padded = np.pad(cube.values, ((half, half), (half, half), (0, 0)), mode="reflect")
+    padded = cube.values[np.ix_(_reflect(np.arange(-half, cube.rows + half), cube.rows),
+                                _reflect(np.arange(-half, cube.cols + half), cube.cols))]
     return sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
-
-
-def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
-    """Fold indices into [0, n) by reflection about the end pixels, which are
-    not duplicated (period 2n - 2); when n == 1 every index maps to 0."""
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n - 2
-    idx = idx % period
-    return np.where(idx > n - 1, period - idx, idx)
 
 
 def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
@@ -287,39 +275,30 @@ def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
 # -- augmentation --------------------------------------------------------------------
 
 
-def _rotate_nearest(data: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the patch center, nearest-neighbor, reflect fill outside."""
-    p = data.shape[0]
+def augment(windows: np.ndarray) -> np.ndarray:
+    """Geometric training variants of a stack of windows: (..., p, p, bands) to
+    (..., 6, p, p, bands), holding the original, the 45/90/135-degree rotations
+    and the horizontal and vertical flips, in that order.
+
+    One table gives the source row and column of every output cell of each
+    variant. A rotation reads the nearest cell of the inverse rotation about
+    the patch center, reflected into the patch: exact permutations at 0 and 90
+    degrees, nearest-neighbor resampling with reflect fill at 45 and 135.
+    """
+    if windows.ndim < 3 or windows.shape[-3] != windows.shape[-2]:
+        raise ContractError(f"augment expects square patches, got shape {windows.shape}")
+    p = windows.shape[-2]
     center = (p - 1) / 2.0
-    theta = math.radians(degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
     ii, jj = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     di, dj = ii - center, jj - center
-    src_r = np.rint(center + cos_t * di + sin_t * dj).astype(np.int64)
-    src_c = np.rint(center - sin_t * di + cos_t * dj).astype(np.int64)
-    return data[_reflect(src_r, p), _reflect(src_c, p)]
-
-
-AUGMENT_VARIANTS = 6  # arrays that augment returns per window
-
-
-def augment(window: np.ndarray) -> list[np.ndarray]:
-    """Geometric training variants of one p x p x bands window: the original,
-    45/90/135-degree rotations and horizontal/vertical flips — six arrays.
-
-    90-degree rotation and the flips are exact index permutations; the 45 and
-    135-degree rotations resample nearest-neighbor with reflect fill.
-    """
-    if window.ndim != 3 or window.shape[0] != window.shape[1]:
-        raise ContractError(f"augment expects a square patch, got shape {window.shape}")
-    return [
-        window.copy(),
-        _rotate_nearest(window, 45.0),
-        np.rot90(window, k=1, axes=(0, 1)).copy(),
-        _rotate_nearest(window, 135.0),
-        window[:, ::-1].copy(),  # horizontal flip
-        window[::-1].copy(),     # vertical flip
-    ]
+    rows, cols = [], []
+    for degrees in (0.0, 45.0, 90.0, 135.0):
+        cos_t, sin_t = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        rows.append(_reflect(np.rint(center + cos_t * di + sin_t * dj).astype(np.int64), p))
+        cols.append(_reflect(np.rint(center - sin_t * di + cos_t * dj).astype(np.int64), p))
+    rows += [ii, p - 1 - ii]  # horizontal flip, vertical flip
+    cols += [p - 1 - jj, jj]
+    return windows[..., np.stack(rows), np.stack(cols), :]
 
 
 # -- scaling -------------------------------------------------------------------------

@@ -40,8 +40,10 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def add(self, truth: int, prediction: int, count: int = 1):
-        self.counts[truth - 1, prediction - 1] += count
+    def add(self, truth, prediction, count=1):
+        """Count ``count`` samples at (truth, prediction); each may be an
+        array, and repeated pairs accumulate."""
+        np.add.at(self.counts, (np.asarray(truth) - 1, np.asarray(prediction) - 1), count)
 
 
 def _counts(cm) -> np.ndarray:

@@ -295,7 +295,8 @@ def model_forward(patch, params: ModelParams,
 
 def predict(patch, params: ModelParams, config: ModelConfig):
     """Class ids in 1..num_classes of one patch or a batch; ties go to the lowest id."""
-    with ad.no_grad():
+    # overflow shows as non-finite probabilities, reported below, not as warnings
+    with ad.no_grad(), np.errstate(all="ignore"):
         probs, _ = model_forward(patch, params, config)
     if not np.isfinite(probs.data).all():
         raise NumericalError("non-finite class probabilities")
@@ -304,7 +305,7 @@ def predict(patch, params: ModelParams, config: ModelConfig):
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                    config: ModelConfig) -> np.ndarray:
-    """Class ids of the scene pixels ``coords`` (an iterable of (row, col)).
+    """Class ids of the scene pixels ``coords``, an (n, 2) array of (row, col).
 
     The scene is cut into fixed runs of INFERENCE_CHUNK pixels in raster order,
     and every run holding a requested pixel is predicted as one batch. A batch's

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, SplitSpec, augment, scene_windows
-from .errors import ConfigError, ContractError, NumericalError
+from .data import HsiCube, LabelRaster, SplitSpec, augment, scene_windows
+from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .metrics import ConfusionMatrix
 from .model import ModelConfig, ModelParams, init_model, model_forward, predict_pixels
 
@@ -145,19 +145,24 @@ def _clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad * (max_norm / norm) if norm > max_norm else grad
 
 
-def _training_samples(cube: HsiCube, split: SplitSpec, config: ModelConfig,
-                      use_augment: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every training window (and its augmented variants, when on), in one
-    (samples, p, p, bands) array, with the class id of each sample."""
-    windows = scene_windows(cube, config.patch_size)
-    items = list(split.train_items())
-    per_pixel = AUGMENT_VARIANTS if use_augment else 1
-    samples = np.empty((len(items) * per_pixel,) + windows.shape[2:], dtype=windows.dtype)
-    for i, (_, row, col) in enumerate(items):
-        window = windows[row, col]
-        samples[i * per_pixel:(i + 1) * per_pixel] = augment(window) if use_augment else window
-    labels = np.repeat([cls for cls, _, _ in items], per_pixel)
-    return samples, labels
+def _training_samples(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
+                      config: ModelConfig, use_augment: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every training window (and its augmented variants, when on, each
+    pixel's variants together), in one (samples, p, p, bands) array, with the
+    class id of each sample."""
+    rows, cols = split.train.T
+    samples = scene_windows(cube, config.patch_size)[rows, cols]
+    classes = labels.labels[rows, cols]
+    if not use_augment:
+        return samples, classes
+    variants = augment(samples)
+    return variants.reshape((-1,) + samples.shape[1:]), np.repeat(classes, variants.shape[1])
+
+
+def _check_raster(cube: HsiCube, labels: LabelRaster) -> None:
+    if (labels.rows, labels.cols) != (cube.rows, cube.cols):
+        raise ShapeError(f"labels are {labels.rows}x{labels.cols} but the cube is "
+                         f"{cube.rows}x{cube.cols}")
 
 
 def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
@@ -171,16 +176,16 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     report holding per-epoch mean loss, per-epoch as-trained accuracy, and
     the confusion matrix of the split's test pixels.
     """
-    if split.train_count() == 0:
-        missing = ", ".join(str(c) for c in split.skipped) or "all"
-        raise ConfigError(f"empty training split (classes with no samples: {missing})")
+    _check_raster(cube, labels)
+    if len(split.train) == 0:
+        raise ConfigError("empty training split: no class has a labeled pixel")
     params = init_model(model_config, train_config.seed)
     state = AdamState(params)
     report = TrainReport()
 
     start = time.perf_counter()
     samples, sample_labels = _training_samples(
-        cube, split, model_config, train_config.augment
+        cube, labels, split, model_config, train_config.augment
     )
     n = len(samples)
     best_loss = np.inf
@@ -222,8 +227,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     report.train_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    coords = [(row, col) for _, row, col in split.test_items()]
-    report.confusion = evaluate(params, model_config, cube, labels, coords)
+    report.confusion = evaluate(params, model_config, cube, labels, split.test)
     report.test_seconds = time.perf_counter() - start
     return params, report
 
@@ -254,20 +258,26 @@ def gradient_check_model(config: ModelConfig, seed: int, step: float = 1e-5) -> 
 
 
 def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,
-             labels: LabelRaster, coords: list[tuple[int, int]]) -> ConfusionMatrix:
-    """Predict each labeled coordinate and accumulate counts[truth][prediction]."""
-    cm = ConfusionMatrix.zeros(config.num_classes)
-    truths = []
-    for row, col in coords:
-        truth = int(labels.labels[row, col])
+             labels: LabelRaster, coords) -> ConfusionMatrix:
+    """Predict the labeled pixels ``coords`` ((n, 2) array or (row, col) pairs)
+    and accumulate counts[truth][prediction]."""
+    _check_raster(cube, labels)
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    outside = ((coords < 0) | (coords >= (labels.rows, labels.cols))).any(axis=1)
+    if outside.any():
+        row, col = coords[outside][0]
+        raise ContractError(f"coordinate ({row},{col}) outside the "
+                            f"{labels.rows}x{labels.cols} raster")
+    truths = labels.labels[coords[:, 0], coords[:, 1]]
+    bad = (truths < 1) | (truths > config.num_classes)
+    if bad.any():
+        (row, col), truth = coords[bad][0], truths[bad][0]
         if truth < 1:
             raise ContractError(f"coordinate ({row},{col}) is unlabeled")
-        if truth > config.num_classes:
-            raise ContractError(
-                f"coordinate ({row},{col}) has class {truth} beyond the model's "
-                f"{config.num_classes} classes"
-            )
-        truths.append(truth)
-    for truth, predicted in zip(truths, predict_pixels(cube, coords, params, config).tolist()):
-        cm.add(truth, predicted)
+        raise ContractError(
+            f"coordinate ({row},{col}) has class {truth} beyond the model's "
+            f"{config.num_classes} classes"
+        )
+    cm = ConfusionMatrix.zeros(config.num_classes)
+    cm.add(truths, predict_pixels(cube, coords, params, config))
     return cm

@@ -140,12 +140,11 @@ def test_overfit_capacity():
     cube, labels = synthesize_cube(10, 10, 24, 4, noise_sigma=0.05, seed=7)
     cube = scale_bands(cube)
     split = split_samples(labels, 0.2, seed=7)
-    assert split.train_count() == 20
+    assert len(split.train) == 20
     config = ModelConfig(bands=24, num_classes=4, patch_size=5)
     params, _ = train(cube, labels, split, config,
                       TrainConfig(epochs=200, seed=7, augment=False))
-    coords = [(r, c) for _, r, c in split.train_items()]
-    oa = overall_accuracy(evaluate(params, config, cube, labels, coords))
+    oa = overall_accuracy(evaluate(params, config, cube, labels, split.train))
     assert oa == 1.0, f"train OA {oa}"
     _passed("overfit capacity (train OA == 1.0)")
 
@@ -193,11 +192,13 @@ def test_split_fidelity():
 
     raster = LabelRaster(flat.reshape(123, 123))
     spec = split_samples(raster, 0.10, seed=0)
+    n_train, n_test = (np.bincount(raster.labels[part[:, 0], part[:, 1]], minlength=len(sizes) + 1)
+                       for part in (spec.train, spec.test))
     for cls, size in enumerate(sizes, start=1):
         expected = max(1, int(math.floor(0.10 * size)))
-        assert len(spec.train[cls]) == expected, (cls, size)
-        assert len(spec.train[cls]) + len(spec.test[cls]) == size
-    assert len(spec.train[1]) == 125
+        assert n_train[cls] == expected, (cls, size)
+        assert n_train[cls] + n_test[cls] == size
+    assert n_train[1] == 125
     _passed("split fidelity (max(1, floor(0.1*n)) per class; 1251 -> 125)")
 
 

@@ -1,5 +1,6 @@
 import argparse
 import struct
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -248,6 +249,30 @@ def test_eval_band_mismatch_exits_nonzero(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, cube_size, label_size",
+                         [("train", 6, 8), ("train", 8, 6), ("eval", 8, 6)])
+def test_labels_that_do_not_fit_the_cube_are_shape_error(tmp_path, capsys, command,
+                                                         cube_size, label_size):
+    # unchecked, a misfit raster gives an IndexError traceback (labels larger than
+    # the cube), or a silent training run or a wrong OA (labels smaller)
+    for size in {cube_size, label_size, 8}:
+        main(["synth", "--rows", str(size), "--cols", str(size), "--bands", "6",
+              "--classes", "3", "--out-cube", str(tmp_path / f"{size}.cube"),
+              "--out-labels", str(tmp_path / f"{size}.lbl")])
+    cube, labels = tmp_path / f"{cube_size}.cube", tmp_path / f"{label_size}.lbl"
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    if command == "train":
+        code = main(train_args(cube, labels, model, report))
+        assert not model.exists()
+    else:
+        assert main(train_args(tmp_path / "8.cube", tmp_path / "8.lbl", model, report)) == 0
+        code = main(["eval", "--cube", str(cube), "--labels", str(labels),
+                     "--model", str(model), "--ratio", "0.2", "--split-seed", "0"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"labels are {label_size}x{label_size} but the cube is {cube_size}x{cube_size}" in err
+
+
 @pytest.mark.parametrize("missing", ["--ratio", "--split-seed"])
 def test_eval_requires_the_training_split(tmp_path, capsys, missing):
     # no checkpoint records the training split, so eval must be told it
@@ -365,11 +390,14 @@ def test_checkpoint_with_nan_weight_is_format_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["eval", "map"])
 def test_non_finite_probabilities_are_numerical_error(tmp_path, capsys, command):
-    # finite weights whose logits overflow float32: softmax gives NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # finite weights whose logits overflow float32: softmax gives NaN, which is
+    # reported once, with no floating-point warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = _edited_checkpoint_run(tmp_path, command, "classifier_w2", 3e38)
     assert code == 4
-    assert "non-finite class probabilities" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numerical failure: non-finite class probabilities\n"
 
 
 def _ppm_classes(path, rows, cols, classes):
@@ -405,7 +433,7 @@ def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys):
     mapped = _ppm_classes(image, 48, 48, 4)
     truth = load_labels(labels).labels
     cm = ConfusionMatrix.zeros(4)
-    for _, row, col in split_samples(load_labels(labels), 0.1, 101).test_items():
+    for row, col in split_samples(load_labels(labels), 0.1, 101).test:
         cm.add(int(truth[row, col]), int(mapped[row, col]))
     assert table == render_report(cm) + "\n"
     assert test_oa == f"{np.trace(cm.counts) / cm.total:.4f}"

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssnl.data import (
     HsiCube,
@@ -24,6 +26,7 @@ from ssnl.errors import (
     FormatError,
     HeaderError,
     MagicError,
+    SsnlError,
     TruncatedError,
 )
 
@@ -130,6 +133,51 @@ def test_label_bad_magic(tmp_path):
         load_labels(path)
 
 
+_FUZZ_READERS = {  # cube values in [2^127, 2^128): one flipped exponent bit gives inf or NaN
+    "cube": (write_cube, load_cube,
+             lambda: HsiCube(np.linspace(1.7e38, 3.4e38, 24).reshape(2, 3, 4))),
+    "labels": (write_labels, load_labels, lambda: LabelRaster(np.arange(6).reshape(2, 3))),
+}
+
+_edits = st.one_of(
+    st.tuples(st.just("mutate"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                                           min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_READERS))
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edit=_edits)
+def test_readers_refuse_damaged_files_with_typed_errors(fuzz_dir, kind, edit):
+    # byte-mutated, truncated and extended files load finite or raise SsnlError only
+    write, load, make = _FUZZ_READERS[kind]
+    path = fuzz_dir / kind
+    write(path, make())
+    raw = bytearray(path.read_bytes())
+    how, arg = edit
+    if how == "mutate":
+        for pos, value in arg:
+            raw[pos % len(raw)] = value
+    elif how == "truncate":
+        del raw[arg % len(raw):]
+    else:
+        raw += arg
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load(path)
+    except SsnlError:
+        return
+    values = loaded.values if kind == "cube" else loaded.labels
+    assert np.isfinite(values).all()
+
+
 # -- synthetic scenes ---------------------------------------------------------------
 
 
@@ -180,15 +228,15 @@ def test_synthesize_center_spectra_linearly_separable():
 def test_split_table_sized_class():
     labels = LabelRaster(np.full((1251, 1), 1))
     spec = split_samples(labels, 0.10, seed=0)
-    assert len(spec.train[1]) == 125
-    assert len(spec.test[1]) == 1126
+    assert spec.train.shape == (125, 2) and spec.test.shape == (1126, 2)
+    assert spec.train.dtype == spec.test.dtype == np.int64
 
 
 def test_split_small_class_keeps_one():
     labels = LabelRaster(np.full((10, 1), 1))
     spec = split_samples(labels, 0.10, seed=0)
-    assert len(spec.train[1]) == 1
-    assert len(spec.test[1]) == 9
+    assert len(spec.train) == 1
+    assert len(spec.test) == 9
 
 
 def test_split_deterministic():
@@ -196,36 +244,57 @@ def test_split_deterministic():
     labels = LabelRaster(rng.integers(0, 4, size=(20, 20)))
     a = split_samples(labels, 0.3, seed=9)
     b = split_samples(labels, 0.3, seed=9)
-    assert a.train == b.train and a.test == b.test
+    np.testing.assert_array_equal(a.train, b.train)
+    np.testing.assert_array_equal(a.test, b.test)
+
+
+def _split_oracle(labels, ratio, seed):
+    # per class in increasing order, a seeded shuffle of its raster-order pixels;
+    # a class with no pixel draws no shuffle
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for cls in range(1, labels.num_classes + 1):
+        coords = [tuple(c) for c in np.argwhere(labels.labels == cls)]
+        if not coords:
+            continue
+        order = rng.permutation(len(coords))
+        take = max(1, int(math.floor(ratio * len(coords))))
+        train += [coords[i] for i in order[:take]]
+        test += [coords[i] for i in order[take:]]
+    return train, test
 
 
 def test_split_partition_properties():
-    # train/test disjoint, union = labeled pixels, per-class counts exact
+    # train/test disjoint, union = labeled pixels, per-class counts exact, an
+    # absent class contributes no coordinate, classes in increasing order, and
+    # each class in its seeded shuffle order
+    cases = [(LabelRaster(np.array([[1, 1], [3, 3]])), 0.5, 0)]  # class 2 absent
     for seed in range(20):
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(1, 65))
         cols = int(rng.integers(1, 65))
         k = int(rng.integers(1, 6))
         labels = LabelRaster(rng.integers(0, k + 1, size=(rows, cols)))
-        ratio = float(rng.uniform(0.05, 0.9))
+        cases.append((labels, float(rng.uniform(0.05, 0.9)), seed))
+    for labels, ratio, seed in cases:
         spec = split_samples(labels, ratio, seed=seed)
-        train_set = {c for coords in spec.train.values() for c in coords}
-        test_set = {c for coords in spec.test.values() for c in coords}
+        train_set = {tuple(c) for c in spec.train}
+        test_set = {tuple(c) for c in spec.test}
+        assert len(train_set) == len(spec.train) and len(test_set) == len(spec.test)
         assert not train_set & test_set
         labeled = {tuple(c) for c in np.argwhere(labels.labels > 0)}
         assert train_set | test_set == labeled
-        for cls, coords in spec.train.items():
+        k = labels.num_classes
+        train_classes = labels.labels[spec.train[:, 0], spec.train[:, 1]]
+        test_classes = labels.labels[spec.test[:, 0], spec.test[:, 1]]
+        for classes in (train_classes, test_classes):
+            assert (np.diff(classes) >= 0).all()
+        for cls, got in enumerate(np.bincount(train_classes, minlength=k + 1)[1:], start=1):
             n = int((labels.labels == cls).sum())
-            assert len(coords) == max(1, int(math.floor(ratio * n)))
-        for cls in spec.skipped:
-            assert (labels.labels == cls).sum() == 0
-
-
-def test_split_skips_empty_class_with_warning_record():
-    labels = LabelRaster(np.array([[1, 1], [3, 3]]))  # class 2 absent
-    spec = split_samples(labels, 0.5, seed=0)
-    assert spec.skipped == [2]
-    assert 2 not in spec.train
+            assert got == (max(1, int(math.floor(ratio * n))) if n else 0)
+        train, test = _split_oracle(labels, ratio, seed)
+        assert [tuple(c) for c in spec.train] == train
+        assert [tuple(c) for c in spec.test] == test
 
 
 def test_split_rejects_bad_ratio():
@@ -349,6 +418,34 @@ def test_augment_rejects_non_square():
 def test_augment_deterministic():
     for va, vb in zip(augment(_random_patch(6)), augment(_random_patch(6))):
         np.testing.assert_array_equal(va, vb)
+
+
+def _rotate_nearest_oracle(patch, degrees):
+    # per-cell loop: output (i, j) reads the nearest source cell of the inverse
+    # rotation about the center, folded into the patch by reflection
+    p = patch.shape[0]
+    center = (p - 1) / 2.0
+    cos_t, sin_t = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    out = np.empty_like(patch)
+    for i in range(p):
+        for j in range(p):
+            r = round(center + cos_t * (i - center) + sin_t * (j - center))
+            c = round(center - sin_t * (i - center) + cos_t * (j - center))
+            out[i, j] = patch[_mirror_indices(r, 1, p)[0], _mirror_indices(c, 1, p)[0]]
+    return out
+
+
+def test_augment_stack_matches_per_window_oracle():
+    for p in (1, 3, 5, 7):
+        stack = np.random.default_rng(p).standard_normal((2, 3, p, p, 4))
+        variants = augment(stack)
+        assert variants.shape == (2, 3, 6, p, p, 4)
+        for index in np.ndindex(2, 3):
+            patch = stack[index]
+            expected = [patch, _rotate_nearest_oracle(patch, 45.0), np.rot90(patch),
+                        _rotate_nearest_oracle(patch, 135.0), patch[:, ::-1], patch[::-1]]
+            for got, want in zip(variants[index], expected):
+                np.testing.assert_array_equal(got, want)
 
 
 # -- band scaling -------------------------------------------------------------------

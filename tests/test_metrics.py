@@ -135,6 +135,10 @@ def test_confusion_matrix_accumulation():
     cm.add(3, 3, count=4)
     assert cm.total == 6
     assert cm.counts[0, 1] == 1 and cm.counts[2, 2] == 4
+    # arrays of pairs: each pair counts once, repeats included
+    cm.add(np.array([2, 2, 1, 2]), np.array([3, 3, 1, 3]))
+    assert cm.total == 10
+    assert cm.counts[1, 2] == 3 and cm.counts[0, 0] == 2
 
 
 def test_confusion_matrix_rejects_negative_or_non_square():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssnl.autodiff import Tensor
-from ssnl.data import split_samples, synthesize_cube
+from ssnl.data import augment, extract_window, split_samples, synthesize_cube
 from ssnl.errors import ConfigError, ContractError, NumericalError
 from ssnl.metrics import overall_accuracy
 from ssnl.model import ModelConfig, init_model
@@ -162,8 +162,8 @@ def test_train_deterministic_reports():
 
 def test_train_rejects_empty_split():
     cube, labels, split = tiny_task()
-    split.train.clear()
-    split.test.clear()
+    split.train = split.train[:0]
+    split.test = split.test[:0]
     with pytest.raises(ConfigError):
         train(cube, labels, split, tiny_model_config(), TrainConfig(epochs=1))
 
@@ -174,7 +174,7 @@ def test_train_report_has_one_row_per_epoch():
     _, report = train(cube, labels, split, tiny_model_config(), tc)
     assert report.epochs_run == 4
     assert len(report.train_accuracy) == 4
-    assert report.confusion.total == split.test_count()
+    assert report.confusion.total == len(split.test)
 
 
 def test_train_early_stop_can_shorten_run():
@@ -190,10 +190,16 @@ def test_train_augmentation_expands_samples_sixfold():
     cfg = tiny_model_config()
     from ssnl.train import _training_samples
 
-    plain, _ = _training_samples(cube, split, cfg, False)
-    augmented, aug_labels = _training_samples(cube, split, cfg, True)
+    plain, plain_labels = _training_samples(cube, labels, split, cfg, False)
+    augmented, aug_labels = _training_samples(cube, labels, split, cfg, True)
     assert len(augmented) == 6 * len(plain)
-    assert len(aug_labels) == len(augmented)
+    np.testing.assert_array_equal(aug_labels, np.repeat(plain_labels, 6))
+    # pixel-major, variant-minor: pixel i's variants are samples 6i..6i+5
+    for i, window in enumerate(plain):
+        np.testing.assert_array_equal(augmented[6 * i:6 * i + 6], augment(window))
+        row, col = split.train[i]
+        np.testing.assert_array_equal(window, extract_window(cube, row, col, 3))
+        assert plain_labels[i] == labels.labels[row, col]
 
 
 def test_gradient_clipping_bounds_global_norm():
@@ -229,11 +235,13 @@ def test_evaluate_constant_predictor_fills_one_column():
     params = init_model(cfg, seed=9, dtype=np.float64)
     params.classifier_w2.data = np.zeros_like(params.classifier_w2.data)
     params.classifier_b2.data = np.array([10.0, 0.0])
-    coords = [(r, c) for _, r, c in split.test_items()]
-    cm = evaluate(params, cfg, cube, labels, coords)
+    cm = evaluate(params, cfg, cube, labels, split.test)
     assert cm.counts[:, 0].sum() == cm.total
     assert cm.counts[:, 1].sum() == 0
-    assert cm.total == len(coords)
+    assert cm.total == len(split.test)
+    # a list of (row, col) pairs scores the same
+    pairs = [(int(r), int(c)) for r, c in split.test]
+    np.testing.assert_array_equal(evaluate(params, cfg, cube, labels, pairs).counts, cm.counts)
 
 
 def test_evaluate_rejects_unlabeled_coordinate():
@@ -261,6 +269,5 @@ def test_overfit_small_training_set():
     tc = TrainConfig(epochs=60, seed=11, augment=False, batch_size=8,
                      learning_rate=5e-3)
     params, _ = train(cube, labels, split, cfg, tc)
-    train_coords = [(r, c) for _, r, c in split.train_items()]
-    cm = evaluate(params, cfg, cube, labels, train_coords)
+    cm = evaluate(params, cfg, cube, labels, split.train)
     assert overall_accuracy(cm) == 1.0

@@ -12,6 +12,12 @@ patch and a mini-batch run the same code. ``conv1d`` takes (..., length,
 channels) and ``conv2d`` takes ([batch,] h, w, channels). The only implicit
 broadcasts are in the elementwise arithmetic, of a scalar or of a tensor's
 trailing axes (a per-channel bias over positions and a batch).
+
+Each convolution is written once. ``_windows`` zero-pads its input once and
+returns the sliding-window view both convolutions read. The input gradient of
+a zero same-padded convolution is the same convolution of the output gradient
+with the kernel flipped in space (for ``conv2d``, with in and out channels
+swapped too), so each backward pass calls the routine its forward pass uses.
 """
 
 from __future__ import annotations
@@ -234,6 +240,25 @@ def matmul(a, b) -> Tensor:
 # -- convolutions --------------------------------------------------------------
 
 
+def _windows(a: np.ndarray, k: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Read-only view of the k-wide windows of ``a`` along ``axes`` (as trailing
+    axes), over one copy zero-padded by k // 2 on each side of those axes."""
+    pad = k // 2
+    padded = np.zeros([n + 2 * pad * (i in axes) for i, n in enumerate(a.shape)], a.dtype)
+    padded[tuple(slice(pad, pad + n) if i in axes else slice(None)
+                 for i, n in enumerate(a.shape))] = a
+    return sliding_window_view(padded, (k,) * len(axes), axis=axes)
+
+
+def _tap_sum(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # windows (..., length, channels, k); tap j of taps (k, channels) scales
+    # every channel at once
+    out = np.zeros(windows.shape[:-1], dtype=windows.dtype)
+    for j in range(len(taps)):
+        out += taps[j] * windows[..., j]
+    return out
+
+
 def conv1d(x, kernel) -> Tensor:
     """Depthwise 1-d convolution along the length axis with zero same-padding.
 
@@ -250,27 +275,25 @@ def conv1d(x, kernel) -> Tensor:
         raise ShapeError(
             f"conv1d channel counts differ: input {x.shape} vs kernel {kernel.shape}"
         )
-    length = x.shape[-2]
-    k = kernel.shape[1]
-    pad = (k - 1) // 2
-    xp = np.zeros(x.shape[:-2] + (length + 2 * pad, x.shape[-1]), dtype=x.dtype)
-    xp[..., pad:pad + length, :] = x.data
-    taps = kernel.data.T  # (k, channels): tap j scales every channel at once
-    out_data = np.zeros(x.shape, dtype=x.dtype)
-    for j in range(k):
-        out_data += taps[j] * xp[..., j:j + length, :]
+    k, axes = kernel.shape[1], (x.ndim - 2,)
+    windows = _windows(x.data, k, axes)  # (..., length, channels, k)
+    taps = kernel.data.T
+    out_data = _tap_sum(windows, taps)
 
     def backprop(g):
-        lead = tuple(range(g.ndim - 1))
-        gk = np.empty_like(kernel.data)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gk[:, j] = (g * xp[..., j:j + length, :]).sum(axis=lead)
-            gxp[..., j:j + length, :] += taps[j] * g
-        _accum(kernel, gk)
-        _accum(x, gxp[..., pad:pad + length, :])
+        rows = windows.shape[-3:]  # the leading axes merge without a copy
+        _accum(kernel, np.einsum("blc,blcj->cj", g.reshape((-1,) + rows[:2]),
+                                 windows.reshape((-1,) + rows)))
+        _accum(x, _tap_sum(_windows(g, k, axes), taps[::-1]))
 
     return _make(out_data, (x, kernel), backprop)
+
+
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    # (batch, h, w, c) -> one (batch*h*w, k*k*c) matrix, so a whole batch is
+    # one matmul and every copy moves contiguous channel runs
+    windows = _windows(a, k, (1, 2))  # (batch, h, w, c, k, k)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * a.shape[-1])
 
 
 def conv2d(x, kernels) -> Tensor:
@@ -292,27 +315,17 @@ def conv2d(x, kernels) -> Tensor:
             f"conv2d channel counts differ: input {x.shape} vs kernels {kernels.shape}"
         )
     xb = x.data.reshape((-1,) + x.shape[-3:])
-    batch, h, w, cin = xb.shape
-    cout, k = kernels.shape[0], kernels.shape[2]
-    pad = (k - 1) // 2
-    # im2col: one (batch*h*w, k*k*cin) matrix, so the whole batch is one
-    # matmul and every copy below moves contiguous channel runs
-    xp = np.zeros((batch, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = xb
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (batch, h, w, cin, k, k)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * h * w, k * k * cin)
+    cout, cin, k = kernels.shape[:3]
+    cols = _im2col(xb, k)
     kern2 = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
     out_data = (cols @ kern2.T).reshape(x.shape[:-1] + (cout,))
 
     def backprop(g):
-        g2 = g.reshape(batch * h * w, cout)
+        g2 = g.reshape(-1, cout)
         _accum(kernels, (g2.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
-        gcols = (g2 @ kern2).reshape(batch, h, w, k, k, cin)
-        gxp = np.zeros_like(xp)
-        for u in range(k):
-            for v in range(k):
-                gxp[:, u:u + h, v:v + w] += gcols[:, :, :, u, v]
-        _accum(x, gxp[:, pad:pad + h, pad:pad + w].reshape(x.shape))
+        flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+        gcols = _im2col(g.reshape(xb.shape[:-1] + (cout,)), k)
+        _accum(x, (gcols @ flipped).reshape(x.shape))
 
     return _make(out_data, (x, kernels), backprop)
 

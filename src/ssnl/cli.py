@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, field, fields, make_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,9 +54,18 @@ class UsageError(Exception):
     pass
 
 
-class _RunConfigMethods:
-    """Behaviour of RunConfig, whose fields are made below from ModelConfig and
-    TrainConfig, so each default is written once, in its own dataclass."""
+@dataclass
+class RunConfig(TrainConfig, ModelConfig):
+    """Every tunable of a run as flat key=value entries: the ModelConfig and
+    TrainConfig fields, inherited so each default is written once, then the
+    split's. ``bands`` and ``num_classes`` stay None until the cube and labels
+    resolve them. Construction runs TrainConfig's checks; ModelConfig's run
+    when ``model_config`` builds one."""
+
+    bands: int | None = None
+    num_classes: int | None = None
+    ratio: float = 0.10
+    split_seed: int | None = None  # None: same as seed
 
     def set_key(self, key: str, raw: str, where: str = "flag"):
         f = next((f for f in fields(self) if f.name == key), None)
@@ -106,24 +115,6 @@ class _RunConfigMethods:
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
-def _run_field(f):
-    if f.default is MISSING:  # bands, num_classes: taken from the cube and labels
-        return f.name, f"{f.type} | None", field(default=None)
-    return f.name, f.type, field(default=f.default)
-
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    [_run_field(f) for f in fields(ModelConfig) + fields(TrainConfig)]
-    + [("ratio", "float", field(default=0.10)),
-       ("split_seed", "int | None", field(default=None))],  # None: same as seed
-    bases=(_RunConfigMethods,),
-    namespace={"__module__": __name__,
-               "__doc__": "Every tunable of a run as flat key=value entries: the "
-                          "ModelConfig and TrainConfig fields, then the split's."},
-)
-
-
 def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
     run = base if base is not None else RunConfig()
     if getattr(args, "config", None):
@@ -145,6 +136,15 @@ def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _load_scene(path, bands: int | None):
+    """The cube at ``path``, band-scaled, refused (ShapeError) unless it has
+    ``bands`` bands; None accepts any count."""
+    cube = scale_bands(load_cube(path))
+    if bands is not None and bands != cube.bands:
+        raise ShapeError(f"expected {bands} bands but cube {path} has {cube.bands}")
+    return cube
+
+
 def cmd_synth(args) -> int:
     cube, labels = synthesize_cube(
         args.rows, args.cols, args.bands, args.classes, args.noise, args.seed
@@ -161,10 +161,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _resolve_run_config(args)
-    cube = scale_bands(load_cube(args.cube))
+    cube = _load_scene(args.cube, run.bands)
     labels = load_labels(args.labels)
-    if run.bands is not None and run.bands != cube.bands:
-        raise ShapeError(f"config bands={run.bands} but cube has {cube.bands}")
     run.bands = cube.bands
     if run.num_classes is None:
         run.num_classes = labels.num_classes
@@ -189,27 +187,19 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, config = load_model(args.model)
-    cube = scale_bands(load_cube(args.cube))
+    cube = _load_scene(args.cube, config.bands)
     labels = load_labels(args.labels)
-    if config.bands != cube.bands:
-        raise ShapeError(
-            f"model expects {config.bands} bands but cube has {cube.bands}"
-        )
     split = split_samples(labels, args.ratio, args.split_seed)
-    cm = evaluate(params, config, cube, labels, split.test)
+    report = render_report(evaluate(params, config, cube, labels, split.test))
     print(f"# eval model={args.model} cube={args.cube} ratio={args.ratio} "
           f"split_seed={args.split_seed}")
-    print(render_report(cm))
+    print(report)
     return 0
 
 
 def cmd_map(args) -> int:
     params, config = load_model(args.model)
-    cube = scale_bands(load_cube(args.cube))
-    if config.bands != cube.bands:
-        raise ShapeError(
-            f"model expects {config.bands} bands but cube has {cube.bands}"
-        )
+    cube = _load_scene(args.cube, config.bands)
     pixels = np.indices((cube.rows, cube.cols)).reshape(2, -1).T
     ids = predict_pixels(cube, pixels, params, config).reshape(cube.rows, cube.cols)
     image = render_class_map(ids, config.num_classes)

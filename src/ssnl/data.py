@@ -101,13 +101,6 @@ class SplitSpec:
 # -- file IO --------------------------------------------------------------------
 
 
-def _read_line(buf: bytes, offset: int, path: str) -> tuple[bytes, int]:
-    end = buf.find(b"\n", offset)
-    if end < 0:
-        raise TruncatedError(f"{path}: header line missing newline")
-    return buf[offset:end + 1], end + 1
-
-
 def _parse_dims(line: bytes, count: int, path: str) -> tuple[int, ...]:
     parts = line.split()
     if len(parts) != count:
@@ -121,6 +114,26 @@ def _parse_dims(line: bytes, count: int, path: str) -> tuple[int, ...]:
     return dims
 
 
+def _read_raster(path, magic: bytes, count: int, dtype: str):
+    """The header dimensions and the flat ``dtype`` payload of a cube or label
+    file, after checking the magic, the header and the payload size."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if not buf.startswith(magic):
+        raise MagicError(f"{path}: bad magic, expected {magic!r}")
+    end = buf.find(b"\n", len(magic)) + 1
+    if end == 0:
+        raise TruncatedError(f"{path}: header line missing newline")
+    dims = _parse_dims(buf[len(magic):end], count, str(path))
+    expected = math.prod(dims) * np.dtype(dtype).itemsize
+    payload = buf[end:]
+    if len(payload) < expected:
+        raise TruncatedError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    if len(payload) > expected:
+        raise HeaderError(f"{path}: {len(payload) - expected} trailing bytes")
+    return dims, np.frombuffer(payload, dtype=dtype)
+
+
 def write_cube(path, cube: HsiCube) -> None:
     payload = np.ascontiguousarray(
         cube.values.transpose(2, 0, 1), dtype="<f4"
@@ -132,21 +145,7 @@ def write_cube(path, cube: HsiCube) -> None:
 
 
 def load_cube(path) -> HsiCube:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if not buf.startswith(CUBE_MAGIC):
-        raise MagicError(f"{path}: bad magic, expected {CUBE_MAGIC!r}")
-    header, offset = _read_line(buf, len(CUBE_MAGIC), str(path))
-    rows, cols, bands = _parse_dims(header, 3, str(path))
-    expected = rows * cols * bands * 4
-    payload = buf[offset:]
-    if len(payload) < expected:
-        raise TruncatedError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise HeaderError(f"{path}: {len(payload) - expected} trailing bytes")
-    flat = np.frombuffer(payload, dtype="<f4")
+    (rows, cols, bands), flat = _read_raster(path, CUBE_MAGIC, 3, "<f4")
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: payload holds non-finite values")
     return HsiCube(flat.reshape(bands, rows, cols).transpose(1, 2, 0))
@@ -162,25 +161,18 @@ def write_labels(path, raster: LabelRaster) -> None:
 
 
 def load_labels(path) -> LabelRaster:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if not buf.startswith(LABEL_MAGIC):
-        raise MagicError(f"{path}: bad magic, expected {LABEL_MAGIC!r}")
-    header, offset = _read_line(buf, len(LABEL_MAGIC), str(path))
-    rows, cols = _parse_dims(header, 2, str(path))
-    expected = rows * cols * 2
-    payload = buf[offset:]
-    if len(payload) < expected:
-        raise TruncatedError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise HeaderError(f"{path}: {len(payload) - expected} trailing bytes")
-    labels = np.frombuffer(payload, dtype="<u2").reshape(rows, cols)
-    return LabelRaster(labels)
+    dims, flat = _read_raster(path, LABEL_MAGIC, 2, "<u2")
+    return LabelRaster(flat.reshape(dims))
 
 
 # -- synthetic scenes --------------------------------------------------------------
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator of ``seed``; a negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def synthesize_cube(
@@ -189,13 +181,17 @@ def synthesize_cube(
     """Deterministic striped scene: class c fills a horizontal stripe and emits a
     Gaussian spectral bump centered at band c*bands/(classes+1), plus optional
     zero-mean Gaussian noise. Every pixel is labeled (1..classes)."""
+    if cols < 1:
+        raise ConfigError(f"cols must be at least 1, got {cols}")
     if classes > rows:
         raise ConfigError(f"classes ({classes}) must not exceed rows ({rows})")
     if classes < 1:
         raise ConfigError("need at least one class")
     if bands < classes:
         raise ConfigError(f"bands ({bands}) must be at least classes ({classes})")
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(noise_sigma):
+        raise ConfigError(f"noise must be finite, got {noise_sigma}")
+    rng = seeded_rng(seed)
     row_idx = np.arange(rows)
     labels = (row_idx * classes // rows + 1).astype(np.int64)
     labels = np.repeat(labels[:, None], cols, axis=1)
@@ -217,10 +213,13 @@ def synthesize_cube(
 def split_samples(labels: LabelRaster, ratio: float, seed: int) -> SplitSpec:
     """Stratified split: per class, a seeded shuffle puts the first
     max(1, floor(ratio*n)) pixels in train and the rest in test. A class with
-    no pixel draws no shuffle and contributes no coordinate."""
+    no pixel draws no shuffle and contributes no coordinate. A raster with no
+    labeled pixel at all is refused."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"ratio must lie in (0,1), got {ratio}")
-    rng = np.random.default_rng(seed)
+    if labels.num_classes == 0:
+        raise ConfigError("no labeled pixel: every label is 0 (unlabeled)")
+    rng = seeded_rng(seed)
     train = [np.empty((0, 2), dtype=np.int64)]
     test = [np.empty((0, 2), dtype=np.int64)]
     for cls in range(1, labels.num_classes + 1):

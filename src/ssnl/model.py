@@ -40,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import HsiCube, scene_windows
+from .data import HsiCube, scene_windows, seeded_rng
 from .errors import (ConfigError, ContractError, FormatError, MagicError, NumericalError,
                      ShapeError, TruncatedError)
 
@@ -194,7 +194,7 @@ def init_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Seed-deterministic initialization: weight matrices and kernels uniform in
     (-1/sqrt(fan_in), +1/sqrt(fan_in)); norm gain ones; deltas and biases zero."""
     config.validate()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     arrays = []
     for name, shape in expected_shapes(config).items():
         if name in _FAN_IN:
@@ -328,14 +328,9 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
 
 
 def _config_line(config: ModelConfig) -> bytes:
-    vals = []
-    for f in fields(ModelConfig):
-        v = getattr(config, f.name)
-        if isinstance(v, bool):
-            vals.append("1" if v else "0")
-        else:
-            vals.append(str(v))
-    return (" ".join(vals) + "\n").encode("ascii")
+    vals = [getattr(config, f.name) for f in fields(ModelConfig)]
+    text = " ".join(str(int(v)) if isinstance(v, bool) else str(v) for v in vals)
+    return (text + "\n").encode("ascii")
 
 
 def _parse_config_line(line: bytes, path: str) -> ModelConfig:

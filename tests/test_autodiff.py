@@ -236,6 +236,42 @@ def test_conv2d_linearity():
     np.testing.assert_allclose(lhs.data, rhs, atol=1e-12)
 
 
+# -- convolution adjoints -----------------------------------------------------------
+
+
+def _assert_adjoint(conv, x, kernel, rng):
+    # conv is bilinear, so with loss <conv(x, K), g> the three pairings
+    # <conv(x, K), g>, <x, dx> and <K, dK> are one number
+    xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+    out = conv(xt, kt)
+    g = rng.standard_normal(out.shape)
+    (out * g).sum().backward()
+    value = float((out.data * g).sum())
+    scale = float(np.abs(out.data * g).sum())
+    for pair in ((x * xt.grad).sum(), (kernel * kt.grad).sum()):
+        assert abs(float(pair) - value) <= 1e-12 * scale
+
+
+def test_conv1d_adjoint_identities():
+    rng = np.random.default_rng(41)
+    for batch in ((), (3,), (2, 3)):
+        for length in (1, 2, 5, 9):
+            for k in (1, 3, 5):
+                c = int(rng.integers(1, 5))
+                x = rng.standard_normal(batch + (length, c))
+                _assert_adjoint(ad.conv1d, x, rng.standard_normal((c, k)), rng)
+
+
+def test_conv2d_adjoint_identities():
+    rng = np.random.default_rng(42)
+    for batch in ((), (1,), (3,)):
+        for h, w in ((1, 1), (1, 4), (3, 2), (5, 5)):
+            for k in (1, 3, 5):
+                cin, cout = (int(v) for v in rng.integers(1, 4, size=2))
+                x = rng.standard_normal(batch + (h, w, cin))
+                _assert_adjoint(ad.conv2d, x, rng.standard_normal((cout, cin, k, k)), rng)
+
+
 # -- layer norm ---------------------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ssnl.cli import RunConfig, _resolve_run_config, main
 from ssnl.data import load_cube, load_labels
@@ -127,15 +129,27 @@ def test_train_identical_flags_identical_checkpoints(tmp_path):
     assert r1.read_text() == r2.read_text()
 
 
-def test_train_empty_split_exits_with_class_message(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_all_unlabeled_raster_is_refused_before_output(tmp_path, capsys, command):
     from ssnl.data import LabelRaster, write_labels
 
     argv, cube, labels = synth_args(tmp_path)
     main(argv)
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    if command == "eval":
+        assert main(train_args(cube, labels, model, report)) == 0
+        model.rename(tmp_path / "trained.ckpt")
     write_labels(labels, LabelRaster(np.zeros((8, 8), dtype=int)))
-    code = main(train_args(cube, labels, tmp_path / "m.ckpt", tmp_path / "r.txt"))
+    capsys.readouterr()
+    if command == "train":
+        code = main(train_args(cube, labels, model, report))
+    else:
+        code = main(["eval", "--cube", str(cube), "--labels", str(labels), "--model",
+                     str(tmp_path / "trained.ckpt"), "--ratio", "0.2", "--split-seed", "0"])
+    out, err = capsys.readouterr()
     assert code == 3
-    assert "class" in capsys.readouterr().err.lower()
+    assert out == "" and not model.exists()
+    assert err == "contract error: no labeled pixel: every label is 0 (unlabeled)\n"
 
 
 def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -247,6 +261,27 @@ def test_eval_band_mismatch_exits_nonzero(tmp_path, capsys):
                  "--labels", str(tmp_path / "b7.lbl"), "--model", str(model),
                  "--ratio", "0.2", "--split-seed", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["train", "map"])
+def test_band_mismatch_is_shape_error(tmp_path, capsys, command):
+    argv, cube, labels = synth_args(tmp_path, bands=6)
+    main(argv)
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    image = tmp_path / "map.ppm"
+    if command == "train":
+        code = main(train_args(cube, labels, model, report, extra=["--set", "bands=7"]))
+        expected, got = 7, 6
+    else:
+        assert main(train_args(cube, labels, model, report)) == 0
+        main(["synth", "--rows", "8", "--cols", "8", "--bands", "7", "--classes", "3",
+              "--out-cube", str(tmp_path / "b7.cube"), "--out-labels", str(tmp_path / "b7.lbl")])
+        cube = tmp_path / "b7.cube"
+        code = main(["map", "--cube", str(cube), "--model", str(model),
+                     "--out-image", str(image)])
+        expected, got = 6, 7
+    assert code == 3 and not image.exists()
+    assert capsys.readouterr().err.endswith(f"expected {expected} bands but cube {cube} has {got}\n")
 
 
 @pytest.mark.parametrize("command, cube_size, label_size",
@@ -523,3 +558,74 @@ def test_missing_file_is_io_error(tmp_path, capsys):
                  "--model", str(tmp_path / "none.ckpt"),
                  "--ratio", "0.1", "--split-seed", "0"])
     assert code == 2
+
+
+# -- exit codes ---------------------------------------------------------------------
+
+# each vocabulary starts with a well-formed value, drawn 2 times in 3, so most
+# lines get past the parser and deep into their command
+_IN = ["missing", "garbage", "dir", "cube", "labels", "model", "config"]  # input files
+_OUT = ["fresh", "dir", "nodir"]  # output paths, never an input file
+_INTS = ["-1", "0", "1", "3", "0.5", "x", ""]
+_FLOATS = ["-1", "0", "0.5", "1", "nan", "inf", "x"]
+_SETTINGS = ["hidden_dim=4"] + [
+    f"{key}={value}" for key in
+    ("epochs", "patch_size", "hidden_dim", "bands", "num_classes", "batch_size", "ratio",
+     "clip_norm", "learning_rate", "activation", "augment", "seed", "split_seed", "warp_speed")
+    for value in ("-1", "0", "1", "3", "0.5", "nan", "none", "tanh", "x")] + ["no_equals"]
+_FLAGS = {
+    "synth": {"--rows": ["8"] + _INTS, "--cols": ["8"] + _INTS, "--bands": ["6"] + _INTS,
+              "--classes": ["3"] + _INTS, "--noise": ["0.05"] + _FLOATS,
+              "--seed": ["1"] + _INTS, "--out-cube": _OUT, "--out-labels": _OUT},
+    # --epochs is always given, at most 1, so no run trains longer than one epoch
+    "train": {"--cube": ["cube"] + _IN, "--labels": ["labels"] + _IN, "--out-model": _OUT,
+              "--out-report": _OUT, "--seed": ["1"] + _INTS, "--epochs": ["1", "0", "-1", "x"],
+              "--ratio": ["0.2"] + _FLOATS, "--verbose": None, "--config": ["config"] + _IN,
+              "--set": _SETTINGS},
+    "eval": {"--cube": ["cube"] + _IN, "--labels": ["labels"] + _IN,
+             "--model": ["model"] + _IN, "--ratio": ["0.2"] + _FLOATS,
+             "--split-seed": ["0"] + _INTS},
+    "map": {"--cube": ["cube"] + _IN, "--model": ["model"] + _IN, "--out-image": _OUT},
+    "complexity": {"--bands": ["16"] + _INTS, "--classes": ["4"] + _INTS,
+                   "--batch": ["2"] + _INTS, "--config": ["config"] + _IN, "--set": _SETTINGS},
+    "gradcheck": {"--seed": ["1"] + _INTS, "--config": ["config"] + _IN, "--set": _SETTINGS},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["frobnicate"]))
+    argv = [command]
+    for flag, vocabulary in _FLAGS.get(command, {}).items():
+        if flag != "--epochs" and draw(st.integers(0, 7)) == 7:
+            continue
+        argv.append(flag)
+        if vocabulary is not None:
+            argv.append(vocabulary[0] if draw(st.integers(0, 2)) < 2
+                        else draw(st.sampled_from(vocabulary)))
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(["--bogus", "stray", "--seed"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def exit_code_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exit_codes")
+    argv, cube, labels = synth_args(root)
+    assert main(argv) == 0
+    model = root / "m.ckpt"
+    assert main(train_args(cube, labels, model, root / "r.txt")) == 0
+    (root / "run.cfg").write_text("epochs=1\nhidden_dim=4\n# comment\n")
+    (root / "garbage").write_bytes(b"garbage\n\x00\xff")
+    (root / "out").mkdir()
+    return {"cube": cube, "labels": labels, "model": model, "config": root / "run.cfg",
+            "garbage": root / "garbage", "missing": root / "missing", "dir": root,
+            "fresh": root / "out" / "file", "nodir": root / "absent" / "file"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(exit_code_files, argv):
+    argv = [str(exit_code_files.get(token, token)) for token in argv]
+    assert main(argv) in (0, 1, 2, 3, 4)

@@ -207,6 +207,24 @@ def test_synthesize_too_many_classes():
         synthesize_cube(3, 3, 8, 4, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("cols, noise, seed", [(0, 0.0, 0), (-1, 0.0, 0), (3, float("nan"), 0),
+                                               (3, float("inf"), 0), (3, 0.0, -1)])
+def test_synthesize_refuses_what_makes_no_readable_scene(cols, noise, seed):
+    # unchecked, no columns and a negative seed raise numpy's ValueError, and a
+    # non-finite noise writes a cube that load_cube refuses
+    with pytest.raises(ConfigError):
+        synthesize_cube(4, cols, 8, 2, noise, seed=seed)
+
+
+def test_negative_seed_is_config_error():
+    from ssnl.model import ModelConfig, init_model
+
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        split_samples(LabelRaster(np.ones((4, 4), dtype=int)), 0.5, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        init_model(ModelConfig(bands=3, num_classes=2), seed=-1)
+
+
 def test_synthesize_center_spectra_linearly_separable():
     # one-vs-rest least-squares probe must reach 100% on the noise-free scene
     cube, labels = synthesize_cube(12, 10, 16, 4, 0.0, seed=3)
@@ -302,6 +320,12 @@ def test_split_rejects_bad_ratio():
     for ratio in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ConfigError):
             split_samples(labels, ratio, seed=0)
+
+
+def test_split_rejects_raster_with_no_labeled_pixel():
+    for shape in ((1, 1), (4, 5)):
+        with pytest.raises(ConfigError, match="no labeled pixel"):
+            split_samples(LabelRaster(np.zeros(shape, dtype=int)), 0.5, seed=0)
 
 
 # -- patches -----------------------------------------------------------------------

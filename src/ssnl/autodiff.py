@@ -18,6 +18,8 @@ returns the sliding-window view both convolutions read. The input gradient of
 a zero same-padded convolution is the same convolution of the output gradient
 with the kernel flipped in space (for ``conv2d``, with in and out channels
 swapped too), so each backward pass calls the routine its forward pass uses.
+``conv1d`` is contractions over its window view: its forward pass, its input
+gradient (taps reversed) and its kernel gradient are each one ``einsum``.
 """
 
 from __future__ import annotations
@@ -250,15 +252,6 @@ def _windows(a: np.ndarray, k: int, axes: tuple[int, ...]) -> np.ndarray:
     return sliding_window_view(padded, (k,) * len(axes), axis=axes)
 
 
-def _tap_sum(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # windows (..., length, channels, k); tap j of taps (k, channels) scales
-    # every channel at once
-    out = np.zeros(windows.shape[:-1], dtype=windows.dtype)
-    for j in range(len(taps)):
-        out += taps[j] * windows[..., j]
-    return out
-
-
 def conv1d(x, kernel) -> Tensor:
     """Depthwise 1-d convolution along the length axis with zero same-padding.
 
@@ -277,14 +270,17 @@ def conv1d(x, kernel) -> Tensor:
         )
     k, axes = kernel.shape[1], (x.ndim - 2,)
     windows = _windows(x.data, k, axes)  # (..., length, channels, k)
-    taps = kernel.data.T
-    out_data = _tap_sum(windows, taps)
+    # (k, channels): tap j weighs window slot j. A copy, not the transposed
+    # view: einsum's inner loop is fast only when channels are unit-stride in
+    # both operands, as they are in the windows
+    taps = np.ascontiguousarray(kernel.data.T)
+    out_data = np.einsum("...lcj,jc->...lc", windows, taps)
 
     def backprop(g):
         rows = windows.shape[-3:]  # the leading axes merge without a copy
         _accum(kernel, np.einsum("blc,blcj->cj", g.reshape((-1,) + rows[:2]),
                                  windows.reshape((-1,) + rows)))
-        _accum(x, _tap_sum(_windows(g, k, axes), taps[::-1]))
+        _accum(x, np.einsum("...lcj,jc->...lc", _windows(g, k, axes), taps[::-1]))
 
     return _make(out_data, (x, kernel), backprop)
 

@@ -2,10 +2,12 @@
 
 Every command is a pure function of its flags, input files, and seeds, so
 repeated invocations produce byte-identical outputs. Run configuration comes
-from (in increasing precedence) built-in defaults, an optional ``key=value``
-config file ('#' starts a comment), and repeated ``--set key=value`` flags.
-Unknown keys are rejected; the resolved configuration is echoed into outputs
-for provenance.
+from (in increasing precedence) the command's defaults, an optional
+``key=value`` config file ('#' starts a comment), repeated ``--set key=value``
+flags, and the dedicated flags. A dedicated flag (``--seed``, ``--epochs``,
+``--ratio``, ``--split-seed``, ``--bands``, ``--classes``) is one more way to
+write its config key, read by the same field parser. Unknown keys are
+rejected; the resolved configuration is echoed into outputs for provenance.
 
 Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape,
 4 numerical failure.
@@ -116,6 +118,8 @@ class RunConfig(TrainConfig, ModelConfig):
 
 
 def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
+    """``base`` (default ``RunConfig()``) overridden by ``--config``, then each
+    ``--set``, then each dedicated flag: an argument whose dest is a field."""
     run = base if base is not None else RunConfig()
     if getattr(args, "config", None):
         run.read_file(args.config)
@@ -123,13 +127,15 @@ def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        run.set_key(key.strip(), raw)
-    if getattr(args, "seed", None) is not None:
-        run.seed = args.seed
-    if getattr(args, "epochs", None) is not None:
-        run.epochs = args.epochs
-    if getattr(args, "ratio", None) is not None:
-        run.ratio = args.ratio
+        run.set_key(key.strip(), raw, where="--set")
+    for f in fields(run):
+        raw = getattr(args, f.name, None)
+        if raw is None:
+            continue
+        # a flag names a value to use; "none" (no value) is --set text only
+        run.set_key(f.name, raw)
+        if getattr(run, f.name) is None:
+            raise UsageError(f"flag: bad value {raw!r} for key {f.name!r}")
     return run
 
 
@@ -186,13 +192,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    run = _resolve_run_config(args)
     params, config = load_model(args.model)
     cube = _load_scene(args.cube, config.bands)
     labels = load_labels(args.labels)
-    split = split_samples(labels, args.ratio, args.split_seed)
+    split = split_samples(labels, run.ratio, run.split_seed)
     report = render_report(evaluate(params, config, cube, labels, split.test))
-    print(f"# eval model={args.model} cube={args.cube} ratio={args.ratio} "
-          f"split_seed={args.split_seed}")
+    print(f"# eval model={args.model} cube={args.cube} ratio={run.ratio} "
+          f"split_seed={run.split_seed}")
     print(report)
     return 0
 
@@ -211,11 +218,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    run = _resolve_run_config(args)
-    if run.bands is None:
-        run.bands = args.bands
-    if run.num_classes is None:
-        run.num_classes = args.classes
+    run = _resolve_run_config(args, RunConfig(bands=32, num_classes=4))
     print(render_complexity_report(run.model_config(), batch=args.batch))
     return 0
 
@@ -224,8 +227,8 @@ def cmd_gradcheck(args) -> int:
     base = RunConfig(bands=6, num_classes=3, patch_size=3, hidden_dim=4,
                      spatial_channels=3, classifier_hidden=8)
     run = _resolve_run_config(args, base)
-    worst = gradient_check_model(run.model_config(), args.seed)
-    print(f"gradcheck seed={args.seed} worst_relative_error={worst:.3e} "
+    worst = gradient_check_model(run.model_config(), run.seed)
+    print(f"gradcheck seed={run.seed} worst_relative_error={worst:.3e} "
           f"tolerance={GRADCHECK_TOLERANCE:.0e}")
     if not worst < GRADCHECK_TOLERANCE:
         raise NumericalError(
@@ -269,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--labels", required=True)
     tr.add_argument("--out-model", required=True)
     tr.add_argument("--out-report", required=True)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--ratio", type=float)
+    tr.add_argument("--seed")
+    tr.add_argument("--epochs")
+    tr.add_argument("--ratio")
     tr.add_argument("--verbose", action="store_true")
     _add_config_flags(tr)
     tr.set_defaults(func=cmd_train)
@@ -280,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--cube", required=True)
     ev.add_argument("--labels", required=True)
     ev.add_argument("--model", required=True)
-    ev.add_argument("--ratio", type=float, required=True)
-    ev.add_argument("--split-seed", type=int, required=True)
+    ev.add_argument("--ratio", required=True)
+    ev.add_argument("--split-seed", required=True)
     ev.set_defaults(func=cmd_eval)
 
     mp = subs.add_parser("map", help="predict every pixel to a PPM image")
@@ -291,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     mp.set_defaults(func=cmd_map)
 
     cx = subs.add_parser("complexity", help="parameter / MAC report")
-    cx.add_argument("--bands", type=int, default=32)
-    cx.add_argument("--classes", type=int, default=4)
+    cx.add_argument("--bands")
+    cx.add_argument("--classes", dest="num_classes")
     cx.add_argument("--batch", type=int, default=1)
     _add_config_flags(cx)
     cx.set_defaults(func=cmd_complexity)
 
     gc = subs.add_parser("gradcheck", help="end-to-end 64-bit gradient check")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed")
     _add_config_flags(gc)
     gc.set_defaults(func=cmd_gradcheck)
 

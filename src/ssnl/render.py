@@ -1,12 +1,14 @@
 """Classification-map rendering as binary PPM (P6).
 
 Class 0 renders black; class c of K takes the hue (c-1)*360/K at full
-saturation and value, converted through the standard hue-sector rule. PPM is
-byte-deterministic and codec-free; convert downstream if another container
-is needed.
+saturation and value, converted by ``colorsys.hsv_to_rgb`` and rounded to the
+nearest of 256 levels. PPM is byte-deterministic and codec-free; convert
+downstream if another container is needed.
 """
 
 from __future__ import annotations
+
+import colorsys
 
 import numpy as np
 
@@ -18,20 +20,8 @@ def class_color(class_id: int, num_classes: int) -> tuple[int, int, int]:
         return (0, 0, 0)
     if not 1 <= class_id <= num_classes:
         raise ContractError(f"class id {class_id} outside 0..{num_classes}")
-    hue = (class_id - 1) * 360.0 / num_classes
-    sector = int(hue // 60) % 6
-    frac = hue / 60.0 - int(hue // 60)
-    v = 255
-    q = int(round(255 * (1.0 - frac)))
-    t = int(round(255 * frac))
-    return [
-        (v, t, 0),
-        (q, v, 0),
-        (0, v, t),
-        (0, q, v),
-        (t, 0, v),
-        (v, 0, q),
-    ][sector]
+    rgb = colorsys.hsv_to_rgb((class_id - 1) / num_classes, 1.0, 1.0)
+    return tuple(round(255 * ch) for ch in rgb)
 
 
 def class_palette(num_classes: int) -> list[tuple[int, int, int]]:

@@ -52,6 +52,9 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.patience < 1:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
+            raise ConfigError(f"min_delta must be finite and non-negative, "
+                              f"got {self.min_delta}")
 
 
 class AdamState:

@@ -177,6 +177,37 @@ def test_conv1d_linearity():
     np.testing.assert_allclose(lhs.data, rhs, atol=1e-12)
 
 
+def _tap_loop(a, taps):
+    # a (..., length, channels) zero-padded along length, then tap j of taps
+    # (k, channels) times the slice shifted by j, summed in tap order from zero
+    k, length = len(taps), a.shape[-2]
+    pad = [(0, 0)] * (a.ndim - 2) + [(k // 2, k // 2), (0, 0)]
+    padded = np.pad(a, pad)
+    out = np.zeros_like(a)
+    for j in range(k):
+        out += taps[j] * padded[..., j:j + length, :]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1d_contraction_is_bitwise_the_tap_loop(dtype):
+    # same products summed in the same order, so not a bit may differ: forward
+    # pass with the taps, input gradient with the taps reversed
+    rng = np.random.default_rng(43)
+    for shape in ((1, 4), (7, 3), (2, 3, 9, 5), (32, 25, 64)):
+        for k in (1, 3, 5, 7):
+            x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            kernel = Tensor(rng.standard_normal((shape[-1], k)).astype(dtype),
+                            requires_grad=True)
+            out = ad.conv1d(x, kernel)
+            g = rng.standard_normal(shape).astype(dtype)
+            (out * g).sum().backward()
+            taps = kernel.data.T
+            assert out.data.dtype == x.grad.dtype == dtype
+            np.testing.assert_array_equal(out.data, _tap_loop(x.data, taps))
+            np.testing.assert_array_equal(x.grad, _tap_loop(g, taps[::-1]))
+
+
 # -- conv2d ----------------------------------------------------------------------
 
 

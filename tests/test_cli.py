@@ -1,4 +1,6 @@
 import argparse
+import colorsys
+import re
 import struct
 import warnings
 from dataclasses import MISSING, fields
@@ -34,11 +36,12 @@ def synth_args(tmp_path, rows=8, cols=8, bands=6, classes=3, noise=0.02, seed=0)
 
 
 def train_args(cube, labels, model, report, epochs=1, seed=0, extra=()):
+    # seed=None leaves --seed out
     return [
         "train", "--cube", str(cube), "--labels", str(labels),
         "--out-model", str(model), "--out-report", str(report),
-        "--epochs", str(epochs), "--seed", str(seed), "--ratio", "0.2",
-        *FAST_MODEL, *extra,
+        "--epochs", str(epochs), *([] if seed is None else ["--seed", str(seed)]),
+        "--ratio", "0.2", *FAST_MODEL, *extra,
     ]
 
 
@@ -53,6 +56,14 @@ def test_palette_colors_distinct():
     palette = class_palette(8)
     assert len(palette) == 9
     assert len(set(palette[1:])) == 8
+
+
+def test_palette_is_the_colorsys_hue_circle():
+    for k in range(2, 1029):
+        want = [(0, 0, 0)] + [
+            tuple(round(255 * ch) for ch in colorsys.hsv_to_rgb((c - 1) / k, 1.0, 1.0))
+            for c in range(1, k + 1)]
+        assert class_palette(k) == want, k
 
 
 def test_render_class_map_shape():
@@ -166,7 +177,7 @@ def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
     "spatial_channels=0", "classifier_hidden=0",
     "beta1=1.0", "beta1=-0.1", "beta2=1", "adam_eps=0", "adam_eps=-1e-8",
     "learning_rate=nan", "learning_rate=inf", "clip_norm=0", "clip_norm=-1",
-    "patience=0",
+    "patience=0", "min_delta=nan", "min_delta=-1",
 ])
 def test_train_out_of_range_config_is_contract_error(tmp_path, capsys, setting):
     argv, cube, labels = synth_args(tmp_path)
@@ -547,6 +558,57 @@ def test_gradcheck_default_passes(capsys):
     assert "worst_relative_error" in capsys.readouterr().out
 
 
+# -- one precedence for every command ---------------------------------------------------
+
+
+@pytest.mark.parametrize("command, key, flag, base", [
+    ("train", "seed", "--seed", 0),
+    ("complexity", "bands", "--bands", 32),
+    ("gradcheck", "seed", "--seed", 0),
+], ids=["train", "complexity", "gradcheck"])
+def test_flag_over_set_over_config_over_base(tmp_path, capsys, command, key, flag, base):
+    argv, report = [command], tmp_path / "r.txt"
+    if command == "train":
+        synth, cube, labels = synth_args(tmp_path)
+        assert main(synth) == 0
+        argv = train_args(cube, labels, tmp_path / "m.ckpt", report, seed=None)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}=11\n")
+    layers = [["--config", str(cfg_file)], ["--set", f"{key}=12"], [flag, "13"]]
+    seen = []
+    for n in range(len(layers) + 1):
+        capsys.readouterr()
+        assert main(argv + sum(layers[:n], [])) == 0
+        text = report.read_text() if command == "train" else capsys.readouterr().out
+        seen.append(int(re.search(rf"\b{key}=(\d+)", text).group(1)))
+    assert seen == [base, 11, 12, 13]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["gradcheck", "--set", "seed=3"], "gradcheck seed=3 "),
+    (["complexity", "--bands", "20", "--set", "bands=10"], " bands=20\n"),
+], ids=["gradcheck", "complexity"])
+def test_set_and_flag_reach_the_command(capsys, argv, shown):
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--cube", "c", "--labels", "l", "--model", "m", "--ratio", "0.1",
+     "--split-seed", "none"],
+    ["complexity", "--bands", "none"],
+    ["train", "--cube", "c", "--labels", "l", "--out-model", "m", "--out-report", "r",
+     "--epochs", "x"],
+], ids=["eval", "complexity", "train"])
+def test_dedicated_flag_refuses_text_its_key_refuses(tmp_path, monkeypatch, capsys, argv):
+    # "none" is --set text for an optional key, never a flag's value
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["synth", "--bogus"]) == 1
     assert main(["frobnicate"]) == 1
@@ -566,7 +628,7 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 # lines get past the parser and deep into their command
 _IN = ["missing", "garbage", "dir", "cube", "labels", "model", "config"]  # input files
 _OUT = ["fresh", "dir", "nodir"]  # output paths, never an input file
-_INTS = ["-1", "0", "1", "3", "0.5", "x", ""]
+_INTS = ["-1", "0", "1", "3", "0.5", "x", "", "none"]
 _FLOATS = ["-1", "0", "0.5", "1", "nan", "inf", "x"]
 _SETTINGS = ["hidden_dim=4"] + [
     f"{key}={value}" for key in

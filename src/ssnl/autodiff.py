@@ -20,6 +20,12 @@ with the kernel flipped in space (for ``conv2d``, with in and out channels
 swapped too), so each backward pass calls the routine its forward pass uses.
 ``conv1d`` is contractions over its window view: its forward pass, its input
 gradient (taps reversed) and its kernel gradient are each one ``einsum``.
+
+``mean`` is exact, so it is order-invariant: each slot is summed in float64,
+directly where that sum is provably exact (float32 input of a narrow
+magnitude range), else after sorting. The logistic sigmoid in ``silu`` and in the
+``softplus`` gradient is computed from one ``exp(-|x|)``, which cannot
+overflow; ``softplus`` keeps the one its forward pass computed.
 """
 
 from __future__ import annotations
@@ -339,9 +345,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layer_norm gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.data - mu
+    # np.var's own subtract, square, sum and divide, with d computed once
+    var = np.mean(np.square(d), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
     out_data = xhat * gain.data + bias.data
 
     def backprop(g):
@@ -356,9 +364,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(out_data, (x, gain, bias), backprop)
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # neither exp overflows: this is 1/(1+e^-d) for d >= 0 and e^d/(1+e^d) below
-    return np.exp(np.minimum(d, 0)) / (1.0 + np.exp(-np.abs(d)))
+def _sigmoid(d: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # one exp that never overflows, e = exp(-|d|) (passed in when the caller
+    # has it): 1/(1+e) for d >= 0, where max(e, 1) is 1, and e/(1+e) below
+    if e is None:
+        e = np.exp(-np.abs(d))
+    return np.maximum(e, d >= 0) / (1.0 + e)
 
 
 def silu(x) -> Tensor:
@@ -398,10 +409,11 @@ def activation(kind: str, x) -> Tensor:
 def softplus(x) -> Tensor:
     """log(1 + exp(x)), evaluated stably; maps any real to a positive value."""
     x = _coerce(x)
-    out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    e = np.exp(-np.abs(x.data))
+    out_data = np.maximum(x.data, 0.0) + np.log1p(e)
 
     def backprop(g):
-        _accum(x, g * _sigmoid(x.data))
+        _accum(x, g * _sigmoid(x.data, e))
 
     return _make(out_data, (x,), backprop)
 
@@ -464,10 +476,11 @@ def tsum(x) -> Tensor:
 
 
 def mean(x, axis=None) -> Tensor:
-    """Arithmetic mean, order-invariant: each slot's values are sorted, summed
+    """Arithmetic mean, order-invariant: each slot's values are summed exactly
     in float64 and divided, then cast back to the input dtype, so permuting the
     reduced axes, or the batch the slot sits in, leaves the result bitwise
-    unchanged.
+    unchanged. The sum is a plain float64 sum where that is provably exact
+    (float32 input of a narrow magnitude range), else a sum of sorted values.
 
     ``axis`` may be None (all elements, scalar result), an int, or a tuple.
     """
@@ -480,12 +493,21 @@ def mean(x, axis=None) -> Tensor:
         axes = tuple(a % x.ndim for a in axis)
     keep = tuple(i for i in range(x.ndim) if i not in axes)
     count = int(np.prod([x.shape[a] for a in axes], dtype=np.int64))
-    # C order keeps each slot's values contiguous, so the float64 sum runs
-    # the same way over them whatever the layout of the input
-    rows = np.array(np.transpose(x.data, keep + axes).reshape(
-        tuple(x.shape[i] for i in keep) + (count,)), dtype=np.float64, order="C")
-    rows.sort(axis=-1)
-    out_data = np.asarray(rows.sum(axis=-1) / count, dtype=x.dtype)
+    mag = np.abs(x.data) if x.dtype == np.float32 and x.size else None
+    # Each float32 value is a multiple of u, the ulp of the smallest magnitude,
+    # which is below 2**24 u. With max|x| * count < 2**29 min|x|, every partial
+    # sum is an integer below 2**53 times u: exact in float64 in any order, so
+    # equal to the sorted sum. Zeros, inf, NaN and wide ranges fail the test.
+    if mag is not None and float(mag.max()) * count < 2.0**29 * float(mag.min()):
+        total = x.data.sum(axis=axes, dtype=np.float64)
+    else:
+        # C order keeps each slot's values contiguous, so the float64 sum runs
+        # the same way over them whatever the layout of the input
+        rows = np.array(np.transpose(x.data, keep + axes).reshape(
+            tuple(x.shape[i] for i in keep) + (count,)), dtype=np.float64, order="C")
+        rows.sort(axis=-1)
+        total = rows.sum(axis=-1)
+    out_data = np.asarray(total / count, dtype=x.dtype)
 
     def backprop(g):
         expanded = np.expand_dims(g, axes) if g.ndim else g

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import dataclass, fields
 
@@ -50,6 +51,10 @@ from .train import (
 )
 
 GRADCHECK_TOLERANCE = 1e-5
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class UsageError(Exception):
@@ -119,7 +124,8 @@ class RunConfig(TrainConfig, ModelConfig):
 
 def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
     """``base`` (default ``RunConfig()``) overridden by ``--config``, then each
-    ``--set``, then each dedicated flag: an argument whose dest is a field."""
+    ``--set``, then each dedicated flag: an argument whose dest is a field.
+    The result passes TrainConfig's checks (ConfigError otherwise)."""
     run = base if base is not None else RunConfig()
     if getattr(args, "config", None):
         run.read_file(args.config)
@@ -136,6 +142,7 @@ def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
         run.set_key(f.name, raw)
         if getattr(run, f.name) is None:
             raise UsageError(f"flag: bad value {raw!r} for key {f.name!r}")
+    run.train_config()  # TrainConfig's range checks, for commands that never train too
     return run
 
 
@@ -308,7 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap():
+    """Fix glibc's heap policy for this process: blocks under 32 MB come from
+    the heap, and up to 256 MB of freed heap is kept, not given back.
+
+    A forward pass allocates dozens of 0.1-1 MB temporaries. Under glibc's
+    default, dynamic thresholds, many of them are mapped and unmapped, or
+    trimmed, on every op, so each page is faulted in again on the next use.
+    Any other libc is left as it is."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

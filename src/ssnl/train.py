@@ -209,6 +209,9 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite training loss at epoch {epoch + 1}")
             epoch_loss += value * len(batch)
+            # the last references to this batch's graph: drop them, so it is
+            # freed before the next batch builds its own
+            del probs, logits, batch_loss
             grad = params.flat_grad()
             if train_config.clip_norm is not None:
                 grad = _clip_global_norm(grad, train_config.clip_norm)

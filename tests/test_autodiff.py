@@ -325,6 +325,19 @@ def test_layer_norm_direct_formula():
     np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_forward_is_bitwise_the_var_form(dtype):
+    rng = np.random.default_rng(21)
+    x = (rng.standard_normal((4, 25, 24)) * rng.uniform(0.01, 100, (4, 25, 1))
+         + rng.uniform(-50, 50, (4, 25, 1))).astype(dtype)
+    gain, bias = rng.standard_normal(24).astype(dtype), rng.standard_normal(24).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    want = ((x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))) * gain + bias
+    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_layer_norm_gain_bias_shape_check():
     with pytest.raises(ShapeError):
         ad.layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(3)), Tensor(np.zeros(4)))
@@ -375,6 +388,14 @@ def test_sigmoid_bitwise_equals_where_form(dtype):
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
     assert np.isnan(ad._sigmoid(np.array([np.nan], dtype=dtype))).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_gradient_is_bitwise_the_sigmoid(dtype):
+    x = Tensor((np.random.default_rng(22).standard_normal(500) * 30).astype(dtype),
+               requires_grad=True)
+    ad.softplus(x).sum().backward()
+    assert x.grad.tobytes() == _where_sigmoid(x.data).tobytes()
 
 
 # -- softmax ------------------------------------------------------------------------
@@ -653,6 +674,79 @@ def test_mean_bitwise_invariant_under_permutation(dtype):
     # a row's mean does not depend on the batch it sits in
     np.testing.assert_array_equal(ad.mean(Tensor(x[2, 3]), axis=-1).data, base[2, 3])
     assert base.dtype == dtype
+
+
+def _sorted_mean(x, axes):
+    # the sort-then-sum form, kept as the oracle of ad.mean
+    keep = tuple(i for i in range(x.ndim) if i not in axes)
+    count = int(np.prod([x.shape[a] for a in axes]))
+    rows = np.array(np.transpose(x, keep + axes).reshape(
+        tuple(x.shape[i] for i in keep) + (count,)), dtype=np.float64)
+    rows.sort(axis=-1)
+    return np.asarray(rows.sum(axis=-1) / count, dtype=x.dtype)
+
+
+def test_mean_exact_float64_sum_is_bitwise_the_sorted_sum():
+    # tanh-range float32, as the model's sequence and pooling means see: the
+    # magnitudes are narrow enough for an unsorted float64 sum to be exact
+    rng = np.random.default_rng(19)
+    for shape, axes in [((32, 25, 64), (1,)), ((32, 5, 5, 32), (1, 2)),
+                        ((4, 49, 8), (0, 1, 2)), ((3, 9), (0, 1))]:
+        x = np.tanh(rng.standard_normal(shape) * 2).astype(np.float32)
+        count = int(np.prod([shape[a] for a in axes]))
+        assert np.abs(x).max() * count < 2.0**29 * np.abs(x).min()
+        want = _sorted_mean(x, axes)
+        assert ad.mean(Tensor(x), axis=axes).data.tobytes() == want.tobytes()
+        # permuted along the reduced axes, and each slot on its own
+        perm = x[(slice(None),) * axes[0] + (rng.permutation(shape[axes[0]]),)]
+        assert ad.mean(Tensor(perm), axis=axes).data.tobytes() == want.tobytes()
+        if axes[0] > 0:
+            alone = ad.mean(Tensor(x[-1:]), axis=axes).data
+            assert alone.tobytes() == want[-1:].tobytes()
+    # a float32 sum of the same values is not exact: the oracle tells them apart
+    x = np.tanh(rng.standard_normal((64, 4096))).astype(np.float32)
+    assert not np.array_equal(x.sum(axis=1) / 4096, _sorted_mean(x, (1,)))
+
+
+def _gate_failing(kind):
+    rng = np.random.default_rng(20)
+    x = np.tanh(rng.standard_normal((6, 49))).astype(np.float32)
+    if kind == "zeros":
+        x[::2, ::3] = 0.0
+    elif kind == "subnormals":
+        x[:, ::4] = np.float32(1e-40) * rng.uniform(0.5, 1, (6, 13)).astype(np.float32)
+    elif kind == "inf_nan":
+        x[0, 3], x[1, 4], x[2, 5], x[2, 6], x[3, 7] = np.inf, -np.inf, np.inf, -np.inf, np.nan
+    elif kind == "wide_range":
+        x = (10.0 ** rng.uniform(-12, 3, (6, 49)) * rng.choice([-1, 1], (6, 49)))
+        x = x.astype(np.float32)
+    elif kind == "float32_tie":
+        # the exact mean lies 7 * 2**-59 above a float32 rounding tie. numpy's
+        # pairwise float64 sum adds the 2**-53 terms to the 1 one at a time,
+        # loses each, and the mean rounds down; the sorted sum keeps them
+        x = np.full((1, 64), 2.0**-23, np.float32)
+        x[0, :3] = 1.0, 2.0**-24, 2.0**-22
+        x[0, 8::8] = 2.0**-53
+    elif kind == "float64":
+        x = np.tanh(rng.standard_normal((6, 49)))
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("kind", ["zeros", "subnormals", "inf_nan", "wide_range",
+                                  "float32_tie", "float64"])
+def test_mean_gate_failing_input_sorts(kind):
+    x = _gate_failing(kind)
+    n, mag = x.shape[1], np.abs(x)
+    assert x.dtype == np.float64 or not mag.max() * n < 2.0**29 * mag.min()
+    want = _sorted_mean(x, (1,))
+    if kind == "float32_tie":  # here an unsorted float64 sum is one ulp low
+        plain = np.asarray(x.sum(axis=1, dtype=np.float64) / n, dtype=np.float32)
+        assert plain < want
+    assert ad.mean(Tensor(x), axis=-1).data.tobytes() == want.tobytes()
+    for seed in range(5):
+        perm = x[:, np.random.default_rng(seed).permutation(n)]
+        assert ad.mean(Tensor(perm), axis=-1).data.tobytes() == want.tobytes()
 
 
 # -- misc contracts --------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import argparse
 import colorsys
+import ctypes
 import re
 import struct
 import warnings
 from dataclasses import MISSING, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,6 +560,45 @@ def test_gradcheck_default_passes(capsys):
     assert "worst_relative_error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--set", "epochs=0"],
+    ["complexity", "--set", "learning_rate=nan"],
+], ids=["gradcheck", "complexity"])
+def test_commands_that_never_train_range_check_their_config(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract error: ") and captured.err.count("\n") == 1
+
+
+# -- heap policy ------------------------------------------------------------------------
+
+
+def test_main_sets_the_glibc_heap_policy(monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):  # a function, so it takes argtypes like a ctypes one
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert main(["complexity"]) == 0
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                         ids=["no_glibc", "no_mallopt"])
+def test_main_runs_without_glibc_mallopt(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["complexity"]) == 0
+    assert "MACs" in capsys.readouterr().out
+
+
 # -- one precedence for every command ---------------------------------------------------
 
 
@@ -633,7 +674,8 @@ _FLOATS = ["-1", "0", "0.5", "1", "nan", "inf", "x"]
 _SETTINGS = ["hidden_dim=4"] + [
     f"{key}={value}" for key in
     ("epochs", "patch_size", "hidden_dim", "bands", "num_classes", "batch_size", "ratio",
-     "clip_norm", "learning_rate", "activation", "augment", "seed", "split_seed", "warp_speed")
+     "clip_norm", "learning_rate", "beta1", "adam_eps", "patience", "min_delta",
+     "activation", "augment", "seed", "split_seed", "warp_speed")
     for value in ("-1", "0", "1", "3", "0.5", "nan", "none", "tanh", "x")] + ["no_equals"]
 _FLAGS = {
     "synth": {"--rows": ["8"] + _INTS, "--cols": ["8"] + _INTS, "--bands": ["6"] + _INTS,

@@ -1,4 +1,6 @@
+import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +185,25 @@ def test_train_early_stop_can_shorten_run():
                      learning_rate=1e-30, early_stop=True, patience=3)
     _, report = train(cube, labels, split, tiny_model_config(), tc)
     assert report.epochs_run <= 5
+
+
+def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
+    # a batch's graph holds its activations and conv buffers; kept through the
+    # next forward pass, it doubled the graph memory at training's peak
+    train_module = importlib.import_module("ssnl.train")  # ssnl.train is the function
+    forward, logits_seen = train_module.model_forward, []
+
+    def recording_forward(*args):
+        assert all(ref() is None for ref in logits_seen)
+        probs, logits = forward(*args)
+        logits_seen.append(weakref.ref(logits.data))
+        return probs, logits
+
+    monkeypatch.setattr(train_module, "model_forward", recording_forward)
+    cube, labels, split = tiny_task()
+    tc = TrainConfig(epochs=2, seed=9, augment=False, batch_size=4)
+    train(cube, labels, split, tiny_model_config(), tc)
+    assert len(logits_seen) > 2
 
 
 def test_train_augmentation_expands_samples_sixfold():

@@ -1,13 +1,16 @@
 """Command-line surface: synth, train, eval, map, complexity, gradcheck.
 
 Every command is a pure function of its flags, input files, and seeds, so
-repeated invocations produce byte-identical outputs. Run configuration comes
-from (in increasing precedence) the command's defaults, an optional
-``key=value`` config file ('#' starts a comment), repeated ``--set key=value``
-flags, and the dedicated flags. A dedicated flag (``--seed``, ``--epochs``,
-``--ratio``, ``--split-seed``, ``--bands``, ``--classes``) is one more way to
-write its config key, read by the same field parser. Unknown keys are
-rejected; the resolved configuration is echoed into outputs for provenance.
+repeated invocations produce byte-identical outputs; ``main`` runs numpy's
+BLAS on one thread, so this holds at any ``OPENBLAS_NUM_THREADS``.
+
+Run configuration comes from (in increasing precedence) the command's
+defaults, an optional ``key=value`` config file ('#' starts a comment),
+repeated ``--set key=value`` flags, and the dedicated flags. A dedicated flag
+(``--seed``, ``--epochs``, ``--ratio``, ``--split-seed``, ``--bands``,
+``--classes``) is one more way to write its config key, read by the same field
+parser. Unknown keys are rejected; the resolved configuration is echoed into
+outputs for provenance.
 
 Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape,
 4 numerical failure.
@@ -19,6 +22,7 @@ import argparse
 import ctypes
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -333,8 +337,30 @@ def _keep_heap():
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    A BLAS matmul splits its sums across threads, so its float bits depend on
+    the thread count; at one thread every command is a pure function of its
+    inputs whatever the environment sets. The library is the one in the
+    wheel's ``numpy.libs``, which is already loaded, so opening it again
+    reaches the same copy. Where no such library or setter exists, nothing
+    is changed."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(1)
+        return
+
+
 def main(argv=None) -> int:
     _keep_heap()
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

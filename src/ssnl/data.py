@@ -2,8 +2,10 @@
 
 A set of pixels (a split's train or test part) is an (n, 2) int64 array of
 (row, col). Windows reflect about the raster edges by one rule, ``_reflect``,
-for whole-scene windows, single windows and the rotation fill; ``augment``
-maps a stack of windows to its six geometric variants by one index table.
+for whole-scene windows, single windows and the rotation fill. One index
+table, ``_variant_cells``, states the six geometric variants: ``augment``
+maps a stack of windows by it, and ``PixelWindows`` gathers training samples
+in any variant by it, straight from the padded scene.
 
 On-disk formats (both bit-exact round-trippable):
 
@@ -126,12 +128,13 @@ def _read_raster(path, magic: bytes, count: int, dtype: str):
         raise TruncatedError(f"{path}: header line missing newline")
     dims = _parse_dims(buf[len(magic):end], count, str(path))
     expected = math.prod(dims) * np.dtype(dtype).itemsize
-    payload = buf[end:]
-    if len(payload) < expected:
-        raise TruncatedError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
-        raise HeaderError(f"{path}: {len(payload) - expected} trailing bytes")
-    return dims, np.frombuffer(payload, dtype=dtype)
+    payload = len(buf) - end
+    if payload < expected:
+        raise TruncatedError(f"{path}: payload has {payload} bytes, expected {expected}")
+    if payload > expected:
+        raise HeaderError(f"{path}: {payload - expected} trailing bytes")
+    # a view of the file's bytes: the payload is not copied
+    return dims, np.frombuffer(buf, dtype=dtype, offset=end)
 
 
 def write_cube(path, cube: HsiCube) -> None:
@@ -247,16 +250,22 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(idx > n - 1, period - idx, idx)
 
 
-def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
-    """Read-only (rows, cols, p, p, bands) view of the window centered at every
-    pixel, over one copy of the cube reflect-padded by p // 2 (the edge pixel is
-    not duplicated). Indexing it gathers windows; nothing else is copied."""
+def _pad_scene(cube: HsiCube, p: int) -> np.ndarray:
+    """The cube reflect-padded by p // 2 on each side of both raster axes (the
+    edge pixel is not duplicated), so the window centered at pixel (r, c) has
+    its top-left cell at padded (r, c)."""
     if p % 2 == 0:
         raise ConfigError(f"patch size must be odd, got {p}")
     half = p // 2
-    padded = cube.values[np.ix_(_reflect(np.arange(-half, cube.rows + half), cube.rows),
-                                _reflect(np.arange(-half, cube.cols + half), cube.cols))]
-    return sliding_window_view(padded, (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    return cube.values[np.ix_(_reflect(np.arange(-half, cube.rows + half), cube.rows),
+                              _reflect(np.arange(-half, cube.cols + half), cube.cols))]
+
+
+def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
+    """Read-only (rows, cols, p, p, bands) view of the window centered at every
+    pixel, over one reflect-padded copy of the cube (``_pad_scene``). Indexing
+    it gathers windows; nothing else is copied."""
+    return sliding_window_view(_pad_scene(cube, p), (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
 
 
 def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
@@ -274,19 +283,19 @@ def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
 # -- augmentation --------------------------------------------------------------------
 
 
-def augment(windows: np.ndarray) -> np.ndarray:
-    """Geometric training variants of a stack of windows: (..., p, p, bands) to
-    (..., 6, p, p, bands), holding the original, the 45/90/135-degree rotations
-    and the horizontal and vertical flips, in that order.
+AUGMENT_VARIANTS = 6
 
-    One table gives the source row and column of every output cell of each
-    variant. A rotation reads the nearest cell of the inverse rotation about
-    the patch center, reflected into the patch: exact permutations at 0 and 90
-    degrees, nearest-neighbor resampling with reflect fill at 45 and 135.
+
+def _variant_cells(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one statement of the geometric training variants of a p x p window:
+    the source row and column, each (AUGMENT_VARIANTS, p, p), of every output
+    cell of the original, the 45/90/135-degree rotations and the horizontal
+    and vertical flips, in that order.
+
+    A rotation reads the nearest cell of the inverse rotation about the patch
+    center, reflected into the patch: exact permutations at 0 and 90 degrees,
+    nearest-neighbor resampling with reflect fill at 45 and 135.
     """
-    if windows.ndim < 3 or windows.shape[-3] != windows.shape[-2]:
-        raise ContractError(f"augment expects square patches, got shape {windows.shape}")
-    p = windows.shape[-2]
     center = (p - 1) / 2.0
     ii, jj = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     di, dj = ii - center, jj - center
@@ -297,7 +306,41 @@ def augment(windows: np.ndarray) -> np.ndarray:
         cols.append(_reflect(np.rint(center - sin_t * di + cos_t * dj).astype(np.int64), p))
     rows += [ii, p - 1 - ii]  # horizontal flip, vertical flip
     cols += [p - 1 - jj, jj]
-    return windows[..., np.stack(rows), np.stack(cols), :]
+    return np.stack(rows), np.stack(cols)
+
+
+def augment(windows: np.ndarray) -> np.ndarray:
+    """Geometric training variants of a stack of windows: (..., p, p, bands) to
+    (..., AUGMENT_VARIANTS, p, p, bands), by the table of ``_variant_cells``."""
+    if windows.ndim < 3 or windows.shape[-3] != windows.shape[-2]:
+        raise ContractError(f"augment expects square patches, got shape {windows.shape}")
+    rows, cols = _variant_cells(windows.shape[-2])
+    return windows[..., rows, cols, :]
+
+
+class PixelWindows:
+    """The windows of a fixed set of pixels, each in any of ``augment``'s
+    variants, gathered on demand from one reflect-padded copy of the cube.
+
+    Cell (i, j) of pixel (r, c)'s window in a variant is the band vector at
+    padded (r + row, c + col), where (row, col) is that variant's source cell
+    in ``_variant_cells``. So one flat offset per pixel plus one per variant
+    cell addresses every sample, and no window is stored between gathers.
+    """
+
+    def __init__(self, cube: HsiCube, coords: np.ndarray, p: int):
+        padded = _pad_scene(cube, p)
+        width = padded.shape[1]
+        rows, cols = _variant_cells(p)
+        self._band_vectors = padded.reshape(-1, cube.bands)
+        self._cell_offsets = rows * width + cols
+        self._origins = coords[:, 0] * width + coords[:, 1]
+
+    def gather(self, pixels: np.ndarray, variants: np.ndarray) -> np.ndarray:
+        """(n, p, p, bands): the window of pixel ``coords[pixels[k]]`` in variant
+        ``variants[k]`` of ``augment``; variant 0 is the window itself."""
+        offsets = self._origins[pixels, None, None] + self._cell_offsets[variants]
+        return np.take(self._band_vectors, offsets, axis=0)
 
 
 # -- scaling -------------------------------------------------------------------------
@@ -305,10 +348,12 @@ def augment(windows: np.ndarray) -> np.ndarray:
 
 def scale_bands(cube: HsiCube) -> HsiCube:
     """Per-band min-max scaling to [0,1]; a constant band maps to zeros.
-    The arithmetic runs in float64; the result is stored as float32."""
+    The arithmetic runs in float64, in place on one float64 copy of the cube;
+    the result is stored as float32."""
     v = cube.values.astype(np.float64)
     lo = v.min(axis=(0, 1))
     hi = v.max(axis=(0, 1))
     span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    return HsiCube((v - lo) / safe)
+    v -= lo
+    v /= np.where(span > 0, span, 1.0)
+    return HsiCube(v)

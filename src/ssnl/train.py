@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import HsiCube, LabelRaster, SplitSpec, augment, scene_windows
+from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, PixelWindows, SplitSpec
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .metrics import ConfusionMatrix
 from .model import ModelConfig, ModelParams, init_model, model_forward, predict_pixels
@@ -148,20 +148,6 @@ def _clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad * (max_norm / norm) if norm > max_norm else grad
 
 
-def _training_samples(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
-                      config: ModelConfig, use_augment: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every training window (and its augmented variants, when on, each
-    pixel's variants together), in one (samples, p, p, bands) array, with the
-    class id of each sample."""
-    rows, cols = split.train.T
-    samples = scene_windows(cube, config.patch_size)[rows, cols]
-    classes = labels.labels[rows, cols]
-    if not use_augment:
-        return samples, classes
-    variants = augment(samples)
-    return variants.reshape((-1,) + samples.shape[1:]), np.repeat(classes, variants.shape[1])
-
-
 def _check_raster(cube: HsiCube, labels: LabelRaster) -> None:
     if (labels.rows, labels.cols) != (cube.rows, cube.cols):
         raise ShapeError(f"labels are {labels.rows}x{labels.cols} but the cube is "
@@ -173,11 +159,13 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
           verbose: bool = False) -> tuple[ModelParams, TrainReport]:
     """Mini-batch Adam training over the split's training pixels.
 
-    Augmentation (when on) expands the sample list sixfold once, before the
-    first epoch. Each epoch reshuffles with a (seed, epoch)-mixed generator;
-    the last partial batch is kept. Returns the trained parameters and a
-    report holding per-epoch mean loss, per-epoch as-trained accuracy, and
-    the confusion matrix of the split's test pixels.
+    With augmentation on, sample s is training pixel s // 6 in variant s % 6
+    of ``augment`` (six samples per pixel); with it off, sample s is pixel s.
+    Each batch gathers its samples' windows from the padded scene, so no
+    stack of samples is built. Each epoch reshuffles the sample ids with a
+    (seed, epoch)-mixed generator; the last partial batch is kept. Returns the
+    trained parameters and a report holding per-epoch mean loss, per-epoch
+    as-trained accuracy, and the confusion matrix of the split's test pixels.
     """
     _check_raster(cube, labels)
     if len(split.train) == 0:
@@ -187,10 +175,10 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     report = TrainReport()
 
     start = time.perf_counter()
-    samples, sample_labels = _training_samples(
-        cube, labels, split, model_config, train_config.augment
-    )
-    n = len(samples)
+    windows = PixelWindows(cube, split.train, model_config.patch_size)
+    classes = labels.labels[split.train[:, 0], split.train[:, 1]]
+    variants = AUGMENT_VARIANTS if train_config.augment else 1
+    n = len(split.train) * variants
     best_loss = np.inf
     stale = 0
     for epoch in range(train_config.epochs):
@@ -199,16 +187,17 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
         epoch_loss = 0.0
         correct = 0
         for lo in range(0, n, train_config.batch_size):
-            batch = order[lo:lo + train_config.batch_size]
+            pixels, variant = np.divmod(order[lo:lo + train_config.batch_size], variants)
+            batch_labels = classes[pixels]
             params.zero_grads()
-            probs, logits = model_forward(samples[batch], params, model_config)
-            batch_loss = cross_entropy(logits, sample_labels[batch])
-            correct += int((np.argmax(probs.data, axis=-1) + 1 == sample_labels[batch]).sum())
+            probs, logits = model_forward(windows.gather(pixels, variant), params, model_config)
+            batch_loss = cross_entropy(logits, batch_labels)
+            correct += int((np.argmax(probs.data, axis=-1) + 1 == batch_labels).sum())
             batch_loss.backward()
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite training loss at epoch {epoch + 1}")
-            epoch_loss += value * len(batch)
+            epoch_loss += value * len(pixels)
             # the last references to this batch's graph: drop them, so it is
             # freed before the next batch builds its own
             del probs, logits, batch_loss

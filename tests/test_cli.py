@@ -1,10 +1,14 @@
 import argparse
 import colorsys
 import ctypes
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import MISSING, fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssnl.cli import RunConfig, _resolve_run_config, main
-from ssnl.data import load_cube, load_labels
+from ssnl.data import load_cube, load_labels, synthesize_cube, write_cube, write_labels
 from ssnl.model import ModelConfig
 from ssnl.train import TrainConfig
 from ssnl.render import class_color, class_palette, render_class_map, write_ppm
@@ -571,7 +575,7 @@ def test_commands_that_never_train_range_check_their_config(capsys, argv):
     assert captured.err.startswith("contract error: ") and captured.err.count("\n") == 1
 
 
-# -- heap policy ------------------------------------------------------------------------
+# -- process settings: heap policy, BLAS threads ----------------------------------------
 
 
 def test_main_sets_the_glibc_heap_policy(monkeypatch, capsys):
@@ -597,6 +601,28 @@ def test_main_runs_without_glibc_mallopt(monkeypatch, capsys, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert main(["complexity"]) == 0
     assert "MACs" in capsys.readouterr().out
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # on this scene the conv2d im2col matmul gives other float bits when
+    # OpenBLAS splits it across two threads; main runs BLAS on one
+    cube, labels = synthesize_cube(30, 30, 144, 15, 0.05, seed=1)
+    write_cube(tmp_path / "scene.cube", cube)
+    write_labels(tmp_path / "scene.lbl", labels)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        model, report = tmp_path / f"{threads}.ckpt", tmp_path / f"{threads}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssnl.cli", "train", "--cube", str(tmp_path / "scene.cube"),
+             "--labels", str(tmp_path / "scene.lbl"), "--out-model", str(model),
+             "--out-report", str(report), "--epochs", "2", "--seed", "1", "--ratio", "0.1",
+             "--set", "patch_size=7"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((model.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # -- one precedence for every command ---------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssnl.data import (
+    AUGMENT_VARIANTS,
     HsiCube,
     LabelRaster,
+    PixelWindows,
     augment,
     extract_window,
     load_cube,
@@ -115,6 +118,28 @@ def test_cube_values_are_float32(tmp_path):
     write_cube(path, cube)
     assert load_cube(path).values.dtype == np.float32
     assert scale_bands(cube).values.dtype == np.float32
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of memory newly allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_cube_keeps_one_copy_of_the_payload(tmp_path):
+    path = tmp_path / "big.cube"
+    written = HsiCube(np.random.default_rng(3).random((48, 48, 100)))
+    write_cube(path, written)
+    payload = written.values.nbytes
+    cube, peak = _traced_peak(load_cube, path)
+    # the file's bytes, plus the quarter-size finiteness mask; a copy of the
+    # payload would add another full payload
+    assert peak < 1.5 * payload
+    np.testing.assert_array_equal(cube.values, written.values)
 
 
 def test_label_roundtrip_and_golden(tmp_path):
@@ -472,6 +497,21 @@ def test_augment_stack_matches_per_window_oracle():
                 np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [1, 3, 5, 7])
+def test_pixel_windows_gather_every_variant_of_augment(p):
+    cube, _ = synthesize_cube(6, 5, 3, 2, 0.3, seed=p)
+    coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    windows = PixelWindows(cube, coords, p)
+    pixels = np.repeat(np.arange(len(coords)), AUGMENT_VARIANTS)
+    variants = np.tile(np.arange(AUGMENT_VARIANTS), len(coords))
+    got = windows.gather(pixels, variants)
+    assert got.shape == (len(pixels), p, p, cube.bands) and got.flags.c_contiguous
+    for k, (pixel, variant) in enumerate(zip(pixels, variants)):
+        row, col = coords[pixel]
+        want = augment(extract_window(cube, row, col, p))[variant]
+        np.testing.assert_array_equal(got[k], want)
+
+
 # -- band scaling -------------------------------------------------------------------
 
 
@@ -493,6 +533,20 @@ def test_scale_bands_idempotent_bitwise():
     once = scale_bands(cube)
     twice = scale_bands(once)
     np.testing.assert_array_equal(once.values, twice.values)
+
+
+def test_scale_bands_computes_in_place_on_one_float64_copy():
+    rng = np.random.default_rng(12)
+    cube = HsiCube(rng.standard_normal((40, 40, 50)) * 5 + 2)
+    cube.values[:, :, 7] = 3.0  # a constant band
+    scaled, peak = _traced_peak(scale_bands, cube)
+    # one float64 copy (8 bytes per value) and the float32 result (4); a
+    # temporary for ``v - lo`` and one for the quotient would add 16 more
+    assert peak < 16 * cube.values.size
+    v = cube.values.astype(np.float64)
+    lo, span = v.min(axis=(0, 1)), np.ptp(v, axis=(0, 1))
+    reference = (v - lo) / np.where(span > 0, span, 1.0)
+    np.testing.assert_array_equal(scaled.values, reference.astype(np.float32))
 
 
 def test_scale_bands_range():

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -206,21 +207,57 @@ def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
     assert len(logits_seen) > 2
 
 
-def test_train_augmentation_expands_samples_sixfold():
-    cube, labels, split = tiny_task()
-    cfg = tiny_model_config()
-    from ssnl.train import _training_samples
+@pytest.mark.parametrize("use_augment", [True, False], ids=["augment", "plain"])
+def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
+    # record every batch training sees, then put the samples back in id order:
+    # epoch 0's batches are the sample ids in the order of its permutation
+    train_module = importlib.import_module("ssnl.train")
+    seen_windows, seen_labels = [], []
+    forward, loss = train_module.model_forward, train_module.cross_entropy
 
-    plain, plain_labels = _training_samples(cube, labels, split, cfg, False)
-    augmented, aug_labels = _training_samples(cube, labels, split, cfg, True)
-    assert len(augmented) == 6 * len(plain)
-    np.testing.assert_array_equal(aug_labels, np.repeat(plain_labels, 6))
-    # pixel-major, variant-minor: pixel i's variants are samples 6i..6i+5
-    for i, window in enumerate(plain):
-        np.testing.assert_array_equal(augmented[6 * i:6 * i + 6], augment(window))
-        row, col = split.train[i]
-        np.testing.assert_array_equal(window, extract_window(cube, row, col, 3))
-        assert plain_labels[i] == labels.labels[row, col]
+    def recording_forward(windows, *args):
+        seen_windows.append(windows.copy())
+        return forward(windows, *args)
+
+    def recording_loss(logits, labels):
+        seen_labels.append(np.array(labels))
+        return loss(logits, labels)
+
+    monkeypatch.setattr(train_module, "model_forward", recording_forward)
+    monkeypatch.setattr(train_module, "cross_entropy", recording_loss)
+    cube, labels, split = tiny_task()
+    tc = TrainConfig(epochs=1, seed=5, augment=use_augment, batch_size=7)
+    train(cube, labels, split, tiny_model_config(), tc)
+    variants = 6 if use_augment else 1
+    n = variants * len(split.train)
+    order = np.random.default_rng(train_module._mix_seed(5, 0)).permutation(n)
+    by_id = np.argsort(order)
+    samples = np.concatenate(seen_windows)[by_id]
+    sample_labels = np.concatenate(seen_labels)[by_id]
+    assert len(samples) == n
+    for s in range(n):
+        row, col = split.train[s // variants]
+        window = extract_window(cube, row, col, 3)
+        expected = augment(window)[s % 6] if use_augment else window
+        np.testing.assert_array_equal(samples[s], expected)
+        assert sample_labels[s] == labels.labels[row, col]
+
+
+def test_train_peak_memory_stays_below_the_augmented_stack():
+    # six variants of every training window, built up front, would be the
+    # largest block of this run: 288 pixels x 6 x 5x5x32 float32, 5.5 MB
+    cube, labels = synthesize_cube(24, 24, 32, 4, 0.05, seed=2)
+    split = split_samples(labels, 0.5, seed=2)
+    cfg = tiny_model_config(bands=32, num_classes=4, patch_size=5)
+    stack_bytes = len(split.train) * 6 * 5 * 5 * 32 * 4
+    assert stack_bytes > 5_000_000
+    tracemalloc.start()
+    try:
+        train(cube, labels, split, cfg, TrainConfig(epochs=1, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def test_gradient_clipping_bounds_global_norm():

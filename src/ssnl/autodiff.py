@@ -14,12 +14,12 @@ broadcasts are in the elementwise arithmetic, of a scalar or of a tensor's
 trailing axes (a per-channel bias over positions and a batch).
 
 Each convolution is written once. ``_windows`` zero-pads its input once and
-returns the sliding-window view both convolutions read. The input gradient of
-a zero same-padded convolution is the same convolution of the output gradient
-with the kernel flipped in space (for ``conv2d``, with in and out channels
-swapped too), so each backward pass calls the routine its forward pass uses.
-``conv1d`` is contractions over its window view: its forward pass, its input
-gradient (taps reversed) and its kernel gradient are each one ``einsum``.
+returns the sliding-window view both convolutions read. For a zero same-padded
+convolution, the input gradient convolves the output gradient with the kernel
+flipped in space (for ``conv2d``, in and out channels swapped too), and the
+kernel gradient correlates the output gradient with the input. ``conv1d``
+computes each as one ``einsum`` over a window view; ``conv2d`` takes both from
+the output gradient's im2col columns, so its forward pass keeps no columns.
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -318,15 +318,14 @@ def conv2d(x, kernels) -> Tensor:
         )
     xb = x.data.reshape((-1,) + x.shape[-3:])
     cout, cin, k = kernels.shape[:3]
-    cols = _im2col(xb, k)
     kern2 = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    out_data = (cols @ kern2.T).reshape(x.shape[:-1] + (cout,))
+    out_data = (_im2col(xb, k) @ kern2.T).reshape(x.shape[:-1] + (cout,))
 
     def backprop(g):
-        g2 = g.reshape(-1, cout)
-        _accum(kernels, (g2.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
-        flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
         gcols = _im2col(g.reshape(xb.shape[:-1] + (cout,)), k)
+        taps = (gcols.T @ xb.reshape(-1, cin)).reshape(k, k, cout, cin)[::-1, ::-1]
+        _accum(kernels, taps.transpose(2, 3, 0, 1))
+        flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
         _accum(x, (gcols @ flipped).reshape(x.shape))
 
     return _make(out_data, (x, kernels), backprop)

@@ -218,7 +218,7 @@ def _patch_array(patch, config: ModelConfig, dtype) -> np.ndarray:
             f"patch shape {arr.shape} does not match config {want} "
             f"or (batch, {want[0]}, {want[1]}, {want[2]})"
         )
-    return arr.astype(dtype)
+    return arr.astype(dtype, copy=False)
 
 
 def normalize_input(patch, params: ModelParams, config: ModelConfig,
@@ -318,7 +318,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     windows = scene_windows(cube, config.patch_size)
     ids = np.zeros(cube.rows * cube.cols, dtype=np.int64)
     flat = coords[:, 0] * cube.cols + coords[:, 1]
-    for chunk in np.unique(flat // INFERENCE_CHUNK):
+    for chunk in np.flatnonzero(np.bincount(flat // INFERENCE_CHUNK)):
         run = np.arange(chunk * INFERENCE_CHUNK, min((chunk + 1) * INFERENCE_CHUNK, ids.size))
         ids[run] = predict(windows[run // cube.cols, run % cube.cols], params, config)
     return ids[flat]

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,47 @@ def test_conv2d_adjoint_identities():
                 cin, cout = (int(v) for v in rng.integers(1, 4, size=2))
                 x = rng.standard_normal(batch + (h, w, cin))
                 _assert_adjoint(ad.conv2d, x, rng.standard_normal((cout, cin, k, k)), rng)
+
+
+def test_conv2d_kernel_gradient_is_the_explicit_correlation():
+    # dK[o, c, u, v] = sum over b, i, j of g[b, i, j, o] * xpad[b, i + u, j + v, c]
+    rng = np.random.default_rng(43)
+    for batch in ((), (3,)):
+        for h, w in ((1, 1), (2, 3), (5, 4)):
+            for k in (1, 3, 5):
+                cin, cout = (int(v) for v in rng.integers(1, 4, size=2))
+                x = rng.standard_normal(batch + (h, w, cin))
+                kt = Tensor(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
+                out = ad.conv2d(Tensor(x), kt)
+                g = rng.standard_normal(out.shape)
+                (out * g).sum().backward()
+                pad = k // 2
+                xpad = np.pad(x.reshape((-1, h, w, cin)), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+                gb = g.reshape((-1, h, w, cout))
+                want = np.zeros((cout, cin, k, k))
+                scale = np.zeros((cout, cin, k, k))
+                for u in range(k):
+                    for v in range(k):
+                        terms = np.einsum("bijo,bijc->bijoc", gb, xpad[:, u:u + h, v:v + w])
+                        want[:, :, u, v] = terms.sum(axis=(0, 1, 2))
+                        scale[:, :, u, v] = np.abs(terms).sum(axis=(0, 1, 2))
+                assert (np.abs(kt.grad - want) <= 1e-12 * (scale + 1.0)).all()
+
+
+def test_conv2d_keeps_no_columns_for_backward():
+    # the im2col matrix of this input is 9x its size; the graph must hold
+    # no more than the output and its own bookkeeping
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.standard_normal((8, 7, 7, 144)).astype(np.float32), requires_grad=True)
+    kernels = Tensor(rng.standard_normal((32, 144, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ad.conv2d(x, kernels)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert live < 2 * y.data.nbytes
 
 
 # -- layer norm ---------------------------------------------------------------------

@@ -357,6 +357,24 @@ def test_map_dimensions_and_determinism(tmp_path):
     assert (tmp_path / "map2.ppm").read_bytes() == raw
 
 
+def test_map_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma is imported lazily, by np.unique among others, and costs
+    # 12-18 ms of start-up in each process that loads it
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    model = tmp_path / "m.ckpt"
+    main(train_args(cube, labels, model, tmp_path / "r.txt"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from ssnl.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "map", "--cube", str(cube), "--model", str(model),
+         "--out-image", str(tmp_path / "map.ppm")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_map_constant_predictor_single_color(tmp_path):
     from ssnl.model import load_model, save_model
 

@@ -123,6 +123,17 @@ def test_normalize_output_shape():
     assert out.shape == (25, 6)
 
 
+def test_normalize_reads_a_batch_of_the_model_dtype_without_copying(monkeypatch):
+    cfg = small_config()
+    params = init_model(cfg, seed=0)
+    batch = np.random.default_rng(3).standard_normal((4, 3, 3, 6)).astype(params.dtype)
+    seen = []
+    layer_norm = ad.layer_norm
+    monkeypatch.setattr(ad, "layer_norm", lambda x, *a, **kw: seen.append(x) or layer_norm(x, *a, **kw))
+    normalize_input(batch, params, cfg)
+    assert np.shares_memory(seen[0].data, batch)
+
+
 def test_normalize_two_band_formula():
     cfg = ModelConfig(bands=2, num_classes=2, patch_size=1, hidden_dim=2,
                       spatial_channels=2, classifier_hidden=2, spatial_kernel=1)

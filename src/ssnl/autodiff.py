@@ -20,6 +20,11 @@ flipped in space (for ``conv2d``, in and out channels swapped too), and the
 kernel gradient correlates the output gradient with the input. ``conv1d``
 computes each as one ``einsum`` over a window view; ``conv2d`` takes both from
 the output gradient's im2col columns, so its forward pass keeps no columns.
+``conv2d``'s forward pass is two steps: ``_channel_taps``, one GEMM of every
+pixel with the (in, k*k*out) kernel matrix, gives each pixel's output through
+each tap; ``_tap_sum`` adds, for each cell, the taps its neighbours send it.
+The first step is per pixel, so scene inference (``model.predict_pixels``)
+runs it once per scene pixel and the second once per window cell.
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -298,12 +303,35 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * a.shape[-1])
 
 
+def _channel_taps(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The per-pixel step of ``conv2d``: (..., in) -> (..., k, k, out), what
+    each pixel sends through every tap, as one GEMM over all pixels."""
+    cout, cin, k = kernels.shape[:3]
+    mix = kernels.transpose(1, 2, 3, 0).reshape(cin, k * k * cout)
+    return (x.reshape(-1, cin) @ mix).reshape(x.shape[:-1] + (k, k, cout))
+
+
+def _tap_sum(taps: np.ndarray) -> np.ndarray:
+    """The window step of ``conv2d``: (..., h, w, k, k, out) per-tap outputs to
+    (..., h, w, out). Cell (i, j) adds tap (a, b) of cell (i + a - k//2,
+    j + b - k//2), taps in raster order; a cell outside the grid adds nothing."""
+    h, w, k = taps.shape[-5:-2]
+    out = np.zeros(taps.shape[:-5] + (h, w, taps.shape[-1]), taps.dtype)
+    for a, b in np.ndindex(k, k):
+        di, dj = a - k // 2, b - k // 2
+        if abs(di) < h and abs(dj) < w:
+            out[..., max(-di, 0):h - max(di, 0), max(-dj, 0):w - max(dj, 0), :] += \
+                taps[..., max(di, 0):h - max(-di, 0), max(dj, 0):w - max(-dj, 0), a, b, :]
+    return out
+
+
 def conv2d(x, kernels) -> Tensor:
     """Cross-channel 2-d convolution with zero same-padding.
 
     ``x`` is (batch, h, w, in_channels) or one (h, w, in_channels) plane;
     ``kernels`` is (out_channels, in_channels, k, k) with k odd. The output
-    has out_channels in place of in_channels.
+    has out_channels in place of in_channels. The forward pass is
+    ``_tap_sum(_channel_taps(x))``; the per-tap array is freed on return.
     """
     x, kernels = _coerce(x), _coerce(kernels)
     if x.ndim not in (3, 4) or kernels.ndim != 4:
@@ -318,8 +346,7 @@ def conv2d(x, kernels) -> Tensor:
         )
     xb = x.data.reshape((-1,) + x.shape[-3:])
     cout, cin, k = kernels.shape[:3]
-    kern2 = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    out_data = (_im2col(xb, k) @ kern2.T).reshape(x.shape[:-1] + (cout,))
+    out_data = _tap_sum(_channel_taps(x.data, kernels.data))
 
     def backprop(g):
         gcols = _im2col(g.reshape(xb.shape[:-1] + (cout,)), k)
@@ -355,10 +382,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         lead = tuple(range(x.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead))
         _accum(bias, g.sum(axis=lead))
-        gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gxhat - m1 - xhat * m2))
+        if x.requires_grad:  # the model's input is data: nothing to compute
+            gxhat = g * gain.data
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, inv * (gxhat - m1 - xhat * m2))
 
     return _make(out_data, (x, gain, bias), backprop)
 

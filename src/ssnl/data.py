@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -253,7 +252,8 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
 def _pad_scene(cube: HsiCube, p: int) -> np.ndarray:
     """The cube reflect-padded by p // 2 on each side of both raster axes (the
     edge pixel is not duplicated), so the window centered at pixel (r, c) has
-    its top-left cell at padded (r, c)."""
+    its top-left cell at padded (r, c): the one copy that whole-scene
+    inference and training gathers read windows from."""
     if p % 2 == 0:
         raise ConfigError(f"patch size must be odd, got {p}")
     half = p // 2
@@ -261,16 +261,9 @@ def _pad_scene(cube: HsiCube, p: int) -> np.ndarray:
                               _reflect(np.arange(-half, cube.cols + half), cube.cols))]
 
 
-def scene_windows(cube: HsiCube, p: int) -> np.ndarray:
-    """Read-only (rows, cols, p, p, bands) view of the window centered at every
-    pixel, over one reflect-padded copy of the cube (``_pad_scene``). Indexing
-    it gathers windows; nothing else is copied."""
-    return sliding_window_view(_pad_scene(cube, p), (p, p), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
-
-
 def extract_window(cube: HsiCube, row: int, col: int, p: int) -> np.ndarray:
     """p x p x bands window centered at (row, col) with reflect padding, gathered
-    by reflected row and column indices (the rule ``scene_windows`` pads by)."""
+    by reflected row and column indices (the rule ``_pad_scene`` pads by)."""
     if p % 2 == 0:
         raise ConfigError(f"patch size must be odd, got {p}")
     if not (0 <= row < cube.rows and 0 <= col < cube.cols):

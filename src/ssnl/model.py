@@ -19,6 +19,16 @@ delta modulation add by trailing broadcast, with no transposes.
 needs an intermediate value calls the stage it comes from (``normalize_input``,
 ``bi_network_forward``, ``spatial_forward``).
 
+The model splits into a pixel stage and a window stage. The pixel stage is
+per pixel: layer norm, both projections, and the spatial conv's channel mix
+(``autodiff._channel_taps``, one GEMM to per-tap outputs). The window stage is
+the rest: the backward direction's reversal, conv1d, activation, modulation,
+tanh and mean; the window-local tap sum (``autodiff._tap_sum``), bias,
+activation and pool; the classifier. ``model_forward`` (and so training) runs
+both on gathered windows, the conv's two steps inside ``ad.conv2d``.
+``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
+in fixed bands, and gathers window features between the two stages.
+
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
 view of its slice, in ``expected_shapes`` order, the one statement of that
 order. Adam and the gradient clip update ``flat`` once per step. Assign values
@@ -40,12 +50,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import HsiCube, scene_windows, seeded_rng
+from .data import HsiCube, _pad_scene, seeded_rng
 from .errors import (ConfigError, ContractError, FormatError, MagicError, NumericalError,
                      ShapeError, TruncatedError)
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
 INFERENCE_CHUNK = 32  # patches per batched inference forward
+BAND_CHUNKS = 8       # inference chunks per pixel-stage band of predict_pixels
 
 
 @dataclass
@@ -226,35 +237,57 @@ def normalize_input(patch, params: ModelParams, config: ModelConfig,
     """Flatten each patch to a (p*p, bands) pixel sequence and layer-normalize
     each pixel's spectrum with the model's gain/bias."""
     arr = _patch_array(patch, config, params.dtype)
-    seq = Tensor(arr.reshape(arr.shape[:-3] + (-1, config.bands)))
-    return ad.layer_norm(seq, params.norm_gain, params.norm_bias, eps=eps)
+    return _normalize(arr.reshape(arr.shape[:-3] + (-1, config.bands)), params, eps)
+
+
+def _normalize(spectra: np.ndarray, params: ModelParams, eps: float = 1e-5) -> Tensor:
+    return ad.layer_norm(Tensor(spectra), params.norm_gain, params.norm_bias, eps=eps)
+
+
+def _project(x_norm: Tensor, params: ModelParams, config: ModelConfig):
+    """Pixel stage of the spectral block: each pixel's projections feeding the
+    forward and the backward direction, None for a disabled direction."""
+    return (ad.matmul(x_norm, params.proj_fwd) if config.forward_on else None,
+            ad.matmul(x_norm, params.proj_bwd) if config.backward_on else None)
 
 
 def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """One direction of the spectral block: depthwise conv over the sequence,
-    activation, additive delta modulation inside tanh. Takes (..., length,
-    hidden) and returns the per-position hidden states in the same layout."""
+    activation, additive delta modulation inside tanh, mean over the sequence.
+    Takes (..., length, hidden) and returns (..., hidden)."""
     conv_out = ad.activation(config.activation, ad.conv1d(seq, kernel))
     modulation = ad.matmul(mix, ad.softplus(params.delta_raw))    # (hidden,)
-    return ad.tanh(ad.add(conv_out, modulation))
+    return ad.mean(ad.tanh(ad.add(conv_out, modulation)), axis=-2)
+
+
+def _spectral_window(z_fwd, z_bwd, params: ModelParams, config: ModelConfig) -> Tensor:
+    """Window stage of the spectral block: the enabled directions' means over
+    each window's (..., p*p, hidden) projections, summed; the backward
+    direction reverses the sequence first."""
+    means = []
+    if z_fwd is not None:
+        means.append(_direction(z_fwd, params.kernel_fwd, params.mix_fwd, params, config))
+    if z_bwd is not None:
+        z_rev = ad.flip(z_bwd, axis=-2)
+        means.append(_direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config))
+    return means[0] if len(means) == 1 else ad.add(*means)
 
 
 def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
     """Bidirectional spectral descriptor: mean-over-sequence of each enabled
-    direction's hidden states, summed. A disabled direction contributes zeros.
+    direction's hidden states, summed; with no direction enabled, zeros.
     Takes (..., length, bands) and returns (..., hidden)."""
-    zero = Tensor(np.zeros(x_norm.shape[:-2] + (config.hidden_dim,), dtype=x_norm.dtype))
-    fwd_mean = bwd_mean = zero
-    if config.forward_on:
-        x_proj = ad.matmul(x_norm, params.proj_fwd)
-        h_fwd = _direction(x_proj, params.kernel_fwd, params.mix_fwd, params, config)
-        fwd_mean = ad.mean(h_fwd, axis=-2)
-    if config.backward_on:
-        z_rev = ad.flip(ad.matmul(x_norm, params.proj_bwd), axis=-2)
-        h_bwd = _direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config)
-        bwd_mean = ad.mean(h_bwd, axis=-2)
-    return ad.add(fwd_mean, bwd_mean)
+    if not config.spectral_on:
+        return Tensor(np.zeros(x_norm.shape[:-2] + (config.hidden_dim,), dtype=x_norm.dtype))
+    return _spectral_window(*_project(x_norm, params, config), params, config)
+
+
+def _spatial_pool(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
+    """Window stage of the spatial branch after the convolution: bias,
+    activation, then global average pooling of (..., p, p, channels)."""
+    activated = ad.activation(config.activation, ad.add(conv, params.spatial_bias))
+    return ad.mean(activated, axis=(-3, -2))
 
 
 def spatial_forward(grid: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -263,14 +296,25 @@ def spatial_forward(grid: Tensor, params: ModelParams, config: ModelConfig) -> T
     (..., channels) vector."""
     if not config.spatial_on:
         raise ContractError("spatial_forward called with the spatial branch disabled")
-    conv = ad.conv2d(grid, params.spatial_kernels)
-    activated = ad.activation(config.activation, ad.add(conv, params.spatial_bias))
-    return ad.mean(activated, axis=(-3, -2))
+    return _spatial_pool(ad.conv2d(grid, params.spatial_kernels), params, config)
+
+
+def _classify(parts: list[Tensor], params: ModelParams,
+              config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """The classifier on the concatenated descriptors: probabilities, logits."""
+    h_final = parts[0] if len(parts) == 1 else ad.concat(parts)
+    hidden = ad.activation(
+        config.activation,
+        ad.add(ad.matmul(h_final, ad.transpose(params.classifier_w1)), params.classifier_b1),
+    )
+    logits = ad.add(ad.matmul(hidden, ad.transpose(params.classifier_w2)),
+                    params.classifier_b2)
+    return ad.softmax(logits), logits
 
 
 def model_forward(patch, params: ModelParams,
                   config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Full pass: normalize, bidirectional spectral block, spatial branch,
+    """Full pass: normalize, spatial branch, bidirectional spectral block,
     concatenation, one-hidden-layer classifier. ``patch`` is one
     (p, p, bands) patch or a (batch, p, p, bands) stack; returns the softmax
     probabilities and the logits, (classes,) or (batch, classes)."""
@@ -282,45 +326,70 @@ def model_forward(patch, params: ModelParams,
         parts.append(spatial_forward(grid, params, config))
     if config.spectral_on:
         parts.append(bi_network_forward(x_norm, params, config))
-    h_final = parts[0] if len(parts) == 1 else ad.concat(parts)
+    return _classify(parts, params, config)
 
-    hidden = ad.activation(
-        config.activation,
-        ad.add(ad.matmul(h_final, ad.transpose(params.classifier_w1)), params.classifier_b1),
-    )
-    logits = ad.add(ad.matmul(hidden, ad.transpose(params.classifier_w2)),
-                    params.classifier_b2)
-    return ad.softmax(logits), logits
+
+def _class_ids(probs: Tensor) -> np.ndarray:
+    # overflow shows as non-finite probabilities, reported here, not as warnings
+    if not np.isfinite(probs.data).all():
+        raise NumericalError("non-finite class probabilities")
+    return np.argmax(probs.data, axis=-1) + 1
 
 
 def predict(patch, params: ModelParams, config: ModelConfig):
     """Class ids in 1..num_classes of one patch or a batch; ties go to the lowest id."""
-    # overflow shows as non-finite probabilities, reported below, not as warnings
     with ad.no_grad(), np.errstate(all="ignore"):
         probs, _ = model_forward(patch, params, config)
-    if not np.isfinite(probs.data).all():
-        raise NumericalError("non-finite class probabilities")
-    return np.argmax(probs.data, axis=-1) + 1
+    return _class_ids(probs)
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                    config: ModelConfig) -> np.ndarray:
     """Class ids of the scene pixels ``coords``, an (n, 2) array of (row, col).
 
-    The scene is cut into fixed runs of INFERENCE_CHUNK pixels in raster order,
-    and every run holding a requested pixel is predicted as one batch. A batch's
-    float results depend on which patches share it, so fixed runs give a pixel
-    the same class whichever pixels are requested: ``eval``, ``map`` and the
-    test pass of ``train`` agree pixel for pixel."""
+    The pixel stage (layer norm, both projections, the spatial conv's
+    per-tap channel mix) runs once per pixel of the reflect-padded scene, in
+    fixed bands of BAND_CHUNKS * INFERENCE_CHUNK pixels in raster order, each
+    with the p - 1 padded rows below it. Within a band, every fixed run of
+    INFERENCE_CHUNK pixels holding a requested pixel gathers its windows'
+    features and runs the window stage as one batch. The float results of a
+    GEMM or a batch may depend on the rows that share it; bands and runs come
+    from the scene shape alone, so a pixel gets the same bits whichever pixels
+    are requested: ``eval``, ``map`` and the test pass of ``train`` agree
+    pixel for pixel. ``predict`` of the same windows agrees to float
+    rounding, not bitwise."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (cube.rows, cube.cols))).any():
         raise ContractError(f"pixels outside the {cube.rows}x{cube.cols} raster")
-    windows = scene_windows(cube, config.patch_size)
-    ids = np.zeros(cube.rows * cube.cols, dtype=np.int64)
-    flat = coords[:, 0] * cube.cols + coords[:, 1]
-    for chunk in np.flatnonzero(np.bincount(flat // INFERENCE_CHUNK)):
-        run = np.arange(chunk * INFERENCE_CHUNK, min((chunk + 1) * INFERENCE_CHUNK, ids.size))
-        ids[run] = predict(windows[run // cube.cols, run % cube.cols], params, config)
+    p, cols, chunk = config.patch_size, cube.cols, INFERENCE_CHUNK
+    padded = _pad_scene(cube, p).astype(params.dtype, copy=False)
+    width = padded.shape[1]
+    corner = np.arange(p)[:, None] * width + np.arange(p)  # a window's cells from its corner
+    ids = np.zeros(cube.rows * cols, dtype=np.int64)
+    flat = coords[:, 0] * cols + coords[:, 1]
+    wanted = np.bincount(flat // chunk, minlength=-(-ids.size // chunk)) > 0
+    with ad.no_grad(), np.errstate(all="ignore"):
+        for first in range(0, wanted.size, BAND_CHUNKS):
+            band_chunks = first + np.flatnonzero(wanted[first:first + BAND_CHUNKS])
+            if not band_chunks.size:
+                continue
+            top = first * chunk // cols
+            bottom = (min((first + BAND_CHUNKS) * chunk, ids.size) - 1) // cols + p
+            x_norm = _normalize(padded[top:bottom].reshape(-1, config.bands), params)
+            z_fwd, z_bwd = _project(x_norm, params, config)
+            if config.spatial_on:
+                taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+            for c in band_chunks:
+                run = np.arange(c * chunk, min((c + 1) * chunk, ids.size))
+                cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
+                seq = cells.reshape(len(run), p * p)
+                parts = []
+                if config.spatial_on:
+                    parts.append(_spatial_pool(Tensor(ad._tap_sum(taps[cells])), params, config))
+                if config.spectral_on:
+                    gathered = [None if z is None else Tensor(z.data[seq]) for z in (z_fwd, z_bwd)]
+                    parts.append(_spectral_window(*gathered, params, config))
+                ids[run] = _class_ids(_classify(parts, params, config)[0])
     return ids[flat]
 
 

@@ -380,6 +380,23 @@ def test_layer_norm_forward_is_bitwise_the_var_form(dtype):
     assert got.tobytes() == want.tobytes()
 
 
+def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
+    # an input that needs no gradient (the model's data) gets none computed;
+    # the gain and bias gradients keep their bits
+    rng = np.random.default_rng(22)
+    x, g = rng.standard_normal((2, 2, 3, 7)).astype(np.float32)
+    gain_values = rng.standard_normal(7).astype(np.float32)
+    grads = []
+    for needs in (True, False):
+        xt = Tensor(x, requires_grad=needs)
+        gain = Tensor(gain_values, requires_grad=True)
+        bias = Tensor(np.zeros(7, np.float32), requires_grad=True)
+        ad.tsum(ad.mul(ad.layer_norm(xt, gain, bias), g)).backward()
+        assert (xt.grad is not None) == needs
+        grads.append(gain.grad.tobytes() + bias.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
 def test_layer_norm_gain_bias_shape_check():
     with pytest.raises(ShapeError):
         ad.layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(3)), Tensor(np.zeros(4)))

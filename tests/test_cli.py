@@ -479,20 +479,26 @@ def _ppm_classes(path, rows, cols, classes):
     return matches.argmax(axis=-1) + 1
 
 
-def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys):
-    # the 48x48 acceptance scene: eval, map and train's test pass classify
-    # each pixel with the same bits, so eval's table is the map's classes
-    # tallied over the test split, and train's test_oa is eval's OA
+@pytest.mark.parametrize("size, bands, classes, patch", [
+    pytest.param(48, 24, 4, 5, id="acceptance"),
+    pytest.param(30, 144, 15, 7, id="wide"),  # four pixel-stage bands
+])
+def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys, size, bands,
+                                                       classes, patch):
+    # eval, map and train's test pass classify each pixel with the same bits,
+    # so eval's table is the map's classes tallied over the test split, and
+    # train's test_oa is eval's OA
     from ssnl.data import split_samples
     from ssnl.metrics import ConfusionMatrix, render_report
 
-    argv, cube, labels = synth_args(tmp_path, rows=48, cols=48, bands=24, classes=4,
-                                    noise=0.05, seed=101)
+    argv, cube, labels = synth_args(tmp_path, rows=size, cols=size, bands=bands,
+                                    classes=classes, noise=0.05, seed=101)
     main(argv)
     model, report, image = tmp_path / "m.ckpt", tmp_path / "r.txt", tmp_path / "map.ppm"
     assert main(["train", "--cube", str(cube), "--labels", str(labels),
                  "--out-model", str(model), "--out-report", str(report),
-                 "--epochs", "1", "--seed", "101", "--ratio", "0.1"]) == 0
+                 "--epochs", "1", "--seed", "101", "--ratio", "0.1",
+                 "--set", f"patch_size={patch}"]) == 0
     test_oa = capsys.readouterr().out.split("test_oa=")[1].split()[0]
     assert main(["eval", "--cube", str(cube), "--labels", str(labels), "--model", str(model),
                  "--ratio", "0.1", "--split-seed", "101"]) == 0
@@ -500,9 +506,9 @@ def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys):
     assert main(["map", "--cube", str(cube), "--model", str(model),
                  "--out-image", str(image)]) == 0
 
-    mapped = _ppm_classes(image, 48, 48, 4)
+    mapped = _ppm_classes(image, size, size, classes)
     truth = load_labels(labels).labels
-    cm = ConfusionMatrix.zeros(4)
+    cm = ConfusionMatrix.zeros(classes)
     for row, col in split_samples(load_labels(labels), 0.1, 101).test:
         cm.add(int(truth[row, col]), int(mapped[row, col]))
     assert table == render_report(cm) + "\n"

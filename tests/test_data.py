@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ssnl.data import (
     AUGMENT_VARIANTS,
     HsiCube,
     LabelRaster,
     PixelWindows,
+    _pad_scene,
     augment,
     extract_window,
     load_cube,
     load_labels,
     scale_bands,
-    scene_windows,
     split_samples,
     synthesize_cube,
     write_cube,
@@ -406,7 +407,9 @@ def test_scene_windows_match_reflect_index_oracle():
         for cols in range(1, 8):
             cube = HsiCube(rng.standard_normal((rows, cols, 2)))
             for p in range(1, 2 * max(rows, cols) + 2, 2):
-                windows = scene_windows(cube, p)
+                # the window of pixel (r, c) starts at padded cell (r, c)
+                windows = sliding_window_view(_pad_scene(cube, p), (p, p), axis=(0, 1))
+                windows = windows.transpose(0, 1, 3, 4, 2)
                 assert windows.shape == (rows, cols, p, p, 2)
                 for r in range(rows):
                     for c in range(cols):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssnl import autodiff as ad
+from ssnl import model as model_module
 from ssnl.autodiff import Tensor
+from ssnl.data import HsiCube, extract_window
 from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
@@ -21,6 +24,7 @@ from ssnl.model import (
     model_forward,
     normalize_input,
     predict,
+    predict_pixels,
     save_model,
     spatial_forward,
 )
@@ -507,6 +511,94 @@ def test_predict_shift_invariant():
     first = predict(random_patch(cfg, seed=3), params, cfg)
     params.classifier_b2.data = params.classifier_b2.data + 100.0
     assert predict(random_patch(cfg, seed=3), params, cfg) == first == 2
+
+
+# -- scene inference ---------------------------------------------------------------------
+
+
+def _recorded_probabilities(monkeypatch):
+    """Every batch of class probabilities predict_pixels classifies, in order."""
+    seen, class_ids = [], model_module._class_ids
+
+    def recording(probs):
+        seen.append(probs.data.copy())
+        return class_ids(probs)
+
+    monkeypatch.setattr(model_module, "_class_ids", recording)
+    return seen
+
+
+_FLAG_SETS = [dict(zip(("forward_on", "backward_on", "spatial_on"), bits))
+              for bits in itertools.product((True, False), repeat=3) if any(bits)]
+
+
+@pytest.mark.parametrize("flags", _FLAG_SETS)
+@pytest.mark.parametrize("rows, cols, p", [(19, 15, 3),   # two bands; edge pixels
+                                           (23, 5, 5),    # narrower than a chunk
+                                           (2, 3, 5)])    # smaller than a patch
+def test_predict_pixels_is_the_forward_pass_of_each_window(monkeypatch, flags, rows, cols, p):
+    cfg = small_config(patch_size=p, spatial_kernel=3 if p == 3 else 5, **flags)
+    params = init_model(cfg, seed=31, dtype=np.float64)
+    cube = HsiCube(np.random.default_rng(32).standard_normal((rows, cols, cfg.bands)))
+    seen = _recorded_probabilities(monkeypatch)
+    pixels = np.argwhere(np.ones((rows, cols), dtype=bool))
+    ids = predict_pixels(cube, pixels, params, cfg)
+
+    windows = np.stack([extract_window(cube, r, c, p) for r, c in pixels])
+    probs, _ = model_forward(windows, params, cfg)
+    np.testing.assert_allclose(np.concatenate(seen), probs.data, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(ids, np.argmax(probs.data, axis=1) + 1)
+
+
+def test_predict_pixels_classes_do_not_depend_on_the_request(monkeypatch):
+    # 30 x 31 pixels: four bands. A subset's batches, and so its classes, are
+    # bitwise those of the whole-scene call, also when whole bands go unrequested
+    cfg = small_config(patch_size=5, num_classes=4)
+    params = init_model(cfg, seed=41)
+    cube = HsiCube(np.random.default_rng(42).standard_normal((30, 31, cfg.bands)))
+    pixels = np.argwhere(np.ones((30, 31), dtype=bool))
+    # centre the logits, so that the classes vary over the scene
+    _, logits = model_forward(np.stack([extract_window(cube, r, c, 5) for r, c in pixels]),
+                              params, cfg)
+    params.classifier_b2.data[...] = -logits.data.mean(axis=0)
+    seen = _recorded_probabilities(monkeypatch)
+    full = predict_pixels(cube, pixels, params, cfg)
+    full_batches = list(seen)
+    assert len(np.unique(full)) > 1
+    rng = np.random.default_rng(43)
+    band = model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
+    for subset in (rng.choice(len(pixels), 40, replace=False),   # scattered
+                   np.arange(band + 3, band + 40),              # inside the second band only
+                   np.array([len(pixels) - 1, 0])):             # the corners, out of order
+        seen.clear()
+        np.testing.assert_array_equal(predict_pixels(cube, pixels[subset], params, cfg),
+                                      full[subset])
+        chunks = np.flatnonzero(np.bincount(subset // model_module.INFERENCE_CHUNK))
+        assert len(seen) == len(chunks)
+        for chunk, probs in zip(chunks, seen):
+            assert probs.tobytes() == full_batches[chunk].tobytes()
+
+
+def test_predict_pixels_normalizes_each_padded_pixel_about_once(monkeypatch):
+    # the pixel stage runs over bands of the padded scene, each with its p - 1
+    # halo rows: not over every cell of every window (rows * cols * p * p)
+    rows, cols, p = 30, 30, 7
+    cfg = small_config(patch_size=p)
+    params = init_model(cfg, seed=51)
+    cube = HsiCube(np.random.default_rng(52).random((rows, cols, cfg.bands)))
+    normalized, layer_norm = [], ad.layer_norm
+
+    def counting(x, *args, **kwargs):
+        normalized.append(x.size // x.shape[-1])
+        return layer_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "layer_norm", counting)
+    predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
+    band = model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
+    bands = -(-rows * cols // band)
+    band_rows = -(-band // cols) + 1 + p - 1   # scene rows one band touches, with its halo
+    overlap = bands * band_rows / (rows + p - 1)
+    assert sum(normalized) <= overlap * (rows + p - 1) * (cols + p - 1) < rows * cols * p * p / 10
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .data import (
     write_labels,
 )
 from .metrics import render_report
-from .model import ModelConfig, load_model, predict, predict_pixels, save_model
+from .model import ModelConfig, load_model, predict_pixels, save_model
 from .render import render_class_map, write_ppm
 from .train import TrainConfig, evaluate, train
 
@@ -49,7 +49,6 @@ __all__ = [
     "load_labels",
     "load_model",
     "param_bytes",
-    "predict",
     "predict_pixels",
     "render_class_map",
     "render_complexity_report",

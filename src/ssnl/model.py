@@ -2,14 +2,22 @@
 
 A patch is flattened to a sequence of per-pixel spectra, layer-normalized,
 and linearly projected twice. One projection runs through a depthwise 1-d
-convolution + activation in sequence order; the other is reversed first and
-runs through its own kernel. Each direction gets an additive learned
+convolution + activation in sequence order; the other runs through its own
+kernel in reversed sequence order. Each direction gets an additive learned
 modulation (a dense mix of softplus-positive per-channel deltas) inside a
 tanh state update, then is mean-reduced over the sequence. In parallel, a
 2-d convolutional branch pools the normalized patch plane into a spatial
 descriptor. The concatenated descriptor feeds a one-hidden-layer softmax
 classifier. Forward/backward/spatial branches can be disabled independently
 for ablations; the classifier is dimensioned at init from those flags.
+
+The reversal is carried by the kernel, not by the sequence: with zero
+same-padding and an odd width, ``conv1d(flip(z), K) == flip(conv1d(z,
+K[:, ::-1]))``, and every later step is per position or the order-invariant
+mean, with a modulation that does not depend on the input. So the paper's two
+directions are two independent forward blocks that differ only in their
+parameters (``_directions``). An order-dependent state, such as a scan, would
+break this; the model has none.
 
 Every stage takes one patch or a batch of patches (a leading axis), channels
 last: the pixel sequence is (..., p*p, bands), its projections (..., p*p,
@@ -22,10 +30,10 @@ needs an intermediate value calls the stage it comes from (``normalize_input``,
 The model splits into a pixel stage and a window stage. The pixel stage is
 per pixel: layer norm, both projections, and the spatial conv's channel mix
 (``autodiff._channel_taps``, one GEMM to per-tap outputs). The window stage is
-the rest: the backward direction's reversal, conv1d, activation, modulation,
-tanh and mean; the window-local tap sum (``autodiff._tap_sum``), bias,
-activation and pool; the classifier. ``model_forward`` (and so training) runs
-both on gathered windows, the conv's two steps inside ``ad.conv2d``.
+the rest: each direction's conv1d, activation, modulation, tanh and mean;
+the window-local tap sum (``autodiff._tap_sum``), bias, activation and pool;
+the classifier. ``model_forward`` (and so training) runs both on gathered
+windows, the conv's two steps inside ``ad.conv2d``.
 ``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
 in fixed bands, and gathers window features between the two stages.
 
@@ -244,43 +252,40 @@ def _normalize(spectra: np.ndarray, params: ModelParams, eps: float = 1e-5) -> T
     return ad.layer_norm(Tensor(spectra), params.norm_gain, params.norm_bias, eps=eps)
 
 
-def _project(x_norm: Tensor, params: ModelParams, config: ModelConfig):
-    """Pixel stage of the spectral block: each pixel's projections feeding the
-    forward and the backward direction, None for a disabled direction."""
-    return (ad.matmul(x_norm, params.proj_fwd) if config.forward_on else None,
-            ad.matmul(x_norm, params.proj_bwd) if config.backward_on else None)
+def _directions(params: ModelParams, config: ModelConfig) -> list[tuple[Tensor, Tensor, Tensor]]:
+    """(projection, kernel, mix) of each enabled direction. The backward one
+    reads the sequence last pixel first: it is the forward block with
+    ``kernel_bwd``'s taps reversed, a (hidden, k) flip (see the module docstring)."""
+    table = []
+    if config.forward_on:
+        table.append((params.proj_fwd, params.kernel_fwd, params.mix_fwd))
+    if config.backward_on:
+        table.append((params.proj_bwd, ad.flip(params.kernel_bwd, axis=-1), params.mix_bwd))
+    return table
 
 
-def _direction(seq: Tensor, kernel: Tensor, mix: Tensor, params: ModelParams,
-               config: ModelConfig) -> Tensor:
-    """One direction of the spectral block: depthwise conv over the sequence,
-    activation, additive delta modulation inside tanh, mean over the sequence.
-    Takes (..., length, hidden) and returns (..., hidden)."""
-    conv_out = ad.activation(config.activation, ad.conv1d(seq, kernel))
-    modulation = ad.matmul(mix, ad.softplus(params.delta_raw))    # (hidden,)
-    return ad.mean(ad.tanh(ad.add(conv_out, modulation)), axis=-2)
-
-
-def _spectral_window(z_fwd, z_bwd, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Window stage of the spectral block: the enabled directions' means over
-    each window's (..., p*p, hidden) projections, summed; the backward
-    direction reverses the sequence first."""
+def _spectral_window(blocks: list[tuple[Tensor, Tensor, Tensor]], params: ModelParams,
+                     config: ModelConfig) -> Tensor:
+    """Window stage of the spectral block. Each (sequence, kernel, mix) block,
+    one direction's (..., p*p, hidden) window projections and weights, goes
+    through a depthwise conv over the sequence, activation, additive delta
+    modulation inside tanh, and a mean over the sequence; the means are summed."""
     means = []
-    if z_fwd is not None:
-        means.append(_direction(z_fwd, params.kernel_fwd, params.mix_fwd, params, config))
-    if z_bwd is not None:
-        z_rev = ad.flip(z_bwd, axis=-2)
-        means.append(_direction(z_rev, params.kernel_bwd, params.mix_bwd, params, config))
+    for z, kernel, mix in blocks:
+        conv_out = ad.activation(config.activation, ad.conv1d(z, kernel))
+        modulation = ad.matmul(mix, ad.softplus(params.delta_raw))    # (hidden,)
+        means.append(ad.mean(ad.tanh(ad.add(conv_out, modulation)), axis=-2))
     return means[0] if len(means) == 1 else ad.add(*means)
 
 
 def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
     """Bidirectional spectral descriptor: mean-over-sequence of each enabled
-    direction's hidden states, summed; with no direction enabled, zeros.
-    Takes (..., length, bands) and returns (..., hidden)."""
+    direction's hidden states, summed. Takes (..., length, bands) and returns
+    (..., hidden)."""
     if not config.spectral_on:
-        return Tensor(np.zeros(x_norm.shape[:-2] + (config.hidden_dim,), dtype=x_norm.dtype))
-    return _spectral_window(*_project(x_norm, params, config), params, config)
+        raise ContractError("bi_network_forward called with both directions disabled")
+    return _spectral_window([(ad.matmul(x_norm, proj), kernel, mix)
+                             for proj, kernel, mix in _directions(params, config)], params, config)
 
 
 def _spatial_pool(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -330,17 +335,11 @@ def model_forward(patch, params: ModelParams,
 
 
 def _class_ids(probs: Tensor) -> np.ndarray:
-    # overflow shows as non-finite probabilities, reported here, not as warnings
+    """Class ids in 1..num_classes, ties to the lowest id. Overflow shows as
+    non-finite probabilities, reported here as NumericalError, not as warnings."""
     if not np.isfinite(probs.data).all():
         raise NumericalError("non-finite class probabilities")
     return np.argmax(probs.data, axis=-1) + 1
-
-
-def predict(patch, params: ModelParams, config: ModelConfig):
-    """Class ids in 1..num_classes of one patch or a batch; ties go to the lowest id."""
-    with ad.no_grad(), np.errstate(all="ignore"):
-        probs, _ = model_forward(patch, params, config)
-    return _class_ids(probs)
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
@@ -356,7 +355,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     GEMM or a batch may depend on the rows that share it; bands and runs come
     from the scene shape alone, so a pixel gets the same bits whichever pixels
     are requested: ``eval``, ``map`` and the test pass of ``train`` agree
-    pixel for pixel. ``predict`` of the same windows agrees to float
+    pixel for pixel. ``model_forward`` of the same windows agrees to float
     rounding, not bitwise."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (cube.rows, cube.cols))).any():
@@ -369,6 +368,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     flat = coords[:, 0] * cols + coords[:, 1]
     wanted = np.bincount(flat // chunk, minlength=-(-ids.size // chunk)) > 0
     with ad.no_grad(), np.errstate(all="ignore"):
+        directions = _directions(params, config)
         for first in range(0, wanted.size, BAND_CHUNKS):
             band_chunks = first + np.flatnonzero(wanted[first:first + BAND_CHUNKS])
             if not band_chunks.size:
@@ -376,7 +376,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
             top = first * chunk // cols
             bottom = (min((first + BAND_CHUNKS) * chunk, ids.size) - 1) // cols + p
             x_norm = _normalize(padded[top:bottom].reshape(-1, config.bands), params)
-            z_fwd, z_bwd = _project(x_norm, params, config)
+            projected = [(ad.matmul(x_norm, proj), kernel, mix) for proj, kernel, mix in directions]
             if config.spatial_on:
                 taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
             for c in band_chunks:
@@ -387,8 +387,8 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                 if config.spatial_on:
                     parts.append(_spatial_pool(Tensor(ad._tap_sum(taps[cells])), params, config))
                 if config.spectral_on:
-                    gathered = [None if z is None else Tensor(z.data[seq]) for z in (z_fwd, z_bwd)]
-                    parts.append(_spectral_window(*gathered, params, config))
+                    gathered = [(Tensor(z.data[seq]), kernel, mix) for z, kernel, mix in projected]
+                    parts.append(_spectral_window(gathered, params, config))
                 ids[run] = _class_ids(_classify(parts, params, config)[0])
     return ids[flat]
 

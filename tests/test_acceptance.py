@@ -1,12 +1,15 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The synthetic-task
-criteria train twelve models (four ablation variants, three seeds); everything
-else is fast.
+criteria train twelve models (four ablation variants, three seeds), in a pool
+of up to two worker processes; everything else is fast.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from ssnl import (
     synthesize_cube,
     train,
 )
-from ssnl.cli import main
+from ssnl.cli import _keep_heap, _one_blas_thread, main
 from ssnl.complexity import estimate_flops, family_comparison, macs_per_patch
 from ssnl.data import augment
 from ssnl.metrics import average_accuracy, kappa, overall_accuracy
@@ -45,24 +48,37 @@ def synthetic_task(seed):
     return scale_bands(cube), labels, split_samples(labels, 0.10, seed=seed)
 
 
+def _process_settings():
+    # a spawned worker starts from a fresh import: it applies main's process
+    # settings itself, as the test process does
+    _keep_heap()
+    _one_blas_thread()
+
+
+def _train_variant(key):
+    variant, seed = key
+    cube, labels, split = synthetic_task(seed)
+    config = ModelConfig(bands=24, num_classes=4, patch_size=5, **VARIANTS[variant])
+    start = time.perf_counter()
+    params, report = train(cube, labels, split, config, TrainConfig(epochs=30, seed=seed))
+    return key, {
+        "oa": overall_accuracy(report.confusion),
+        "kappa": kappa(report.confusion),
+        "losses": report.losses,
+        "seconds": time.perf_counter() - start,
+    }
+
+
 @pytest.fixture(scope="module")
 def variant_runs():
-    """Train every (variant, seed) once; shared by the synthetic criteria."""
-    results = {}
-    for variant, flags in VARIANTS.items():
-        for seed in SEEDS:
-            cube, labels, split = synthetic_task(seed)
-            config = ModelConfig(bands=24, num_classes=4, patch_size=5, **flags)
-            start = time.perf_counter()
-            params, report = train(cube, labels, split, config,
-                                   TrainConfig(epochs=30, seed=seed))
-            results[(variant, seed)] = {
-                "oa": overall_accuracy(report.confusion),
-                "kappa": kappa(report.confusion),
-                "losses": report.losses,
-                "seconds": time.perf_counter() - start,
-            }
-    return results
+    """Train every (variant, seed) once, in up to two worker processes;
+    shared by the synthetic criteria. A run is a pure function of its key, so
+    the results do not depend on the worker that trains them."""
+    keys = [(variant, seed) for variant in VARIANTS for seed in SEEDS]
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_process_settings) as pool:
+        return dict(pool.map(_train_variant, keys))
 
 
 def test_gradient_integrity():

@@ -23,7 +23,6 @@ from ssnl.model import (
     load_model,
     model_forward,
     normalize_input,
-    predict,
     predict_pixels,
     save_model,
     spatial_forward,
@@ -447,8 +446,8 @@ def test_forward_ablation_shrinks_feature_vector():
     probs, _ = model_forward(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
     assert probs.shape == (3,)
     x_norm = normalize_input(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
-    np.testing.assert_array_equal(bi_network_forward(x_norm, params, cfg_so).data,
-                                  np.zeros(4, dtype=np.float32))
+    with pytest.raises(ContractError):
+        bi_network_forward(x_norm, params, cfg_so)
 
 
 @pytest.mark.parametrize("flags", [{}, {"spatial_on": False}, {"forward_on": False},
@@ -493,24 +492,34 @@ def _forced_logit_params(cfg, logits):
     return params
 
 
+def _scene(cfg, seed):
+    # a 4 x 5 scene and every pixel of it
+    cube = HsiCube(np.random.default_rng(seed).standard_normal((4, 5, cfg.bands)))
+    return cube, np.argwhere(np.ones((4, 5), dtype=bool))
+
+
 def test_predict_forced_logits():
     cfg = small_config(num_classes=2)
     params = _forced_logit_params(cfg, [0.0, 10.0])
-    assert predict(random_patch(cfg, seed=1), params, cfg) == 2
+    cube, pixels = _scene(cfg, seed=1)
+    np.testing.assert_array_equal(predict_pixels(cube, pixels, params, cfg), 2)
 
 
 def test_predict_tie_breaks_low():
     cfg = small_config()
     params = _forced_logit_params(cfg, [1.5, 1.5, 1.5])
-    assert predict(random_patch(cfg, seed=2), params, cfg) == 1
+    cube, pixels = _scene(cfg, seed=2)
+    np.testing.assert_array_equal(predict_pixels(cube, pixels, params, cfg), 1)
 
 
 def test_predict_shift_invariant():
     cfg = small_config()
     params = _forced_logit_params(cfg, [0.2, 1.9, -0.7])
-    first = predict(random_patch(cfg, seed=3), params, cfg)
+    cube, pixels = _scene(cfg, seed=3)
+    first = predict_pixels(cube, pixels, params, cfg)
     params.classifier_b2.data = params.classifier_b2.data + 100.0
-    assert predict(random_patch(cfg, seed=3), params, cfg) == first == 2
+    np.testing.assert_array_equal(predict_pixels(cube, pixels, params, cfg), first)
+    np.testing.assert_array_equal(first, 2)
 
 
 # -- scene inference ---------------------------------------------------------------------
@@ -599,6 +608,29 @@ def test_predict_pixels_normalizes_each_padded_pixel_about_once(monkeypatch):
     band_rows = -(-band // cols) + 1 + p - 1   # scene rows one band touches, with its halo
     overlap = bands * band_rows / (rows + p - 1)
     assert sum(normalized) <= overlap * (rows + p - 1) * (cols + p - 1) < rows * cols * p * p / 10
+
+
+def test_flip_reverses_the_backward_kernel_not_the_sequence(monkeypatch):
+    # the backward direction reads the sequence reversed through kernel_bwd's
+    # taps reversed: a training pass and a two-band predict_pixels call flip
+    # that (hidden, k) kernel once each, and no (batch, p*p, hidden) activation
+    cfg = small_config(patch_size=5)
+    params = init_model(cfg, seed=61)
+    shapes, flip = [], ad.flip
+
+    def recording(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return flip(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "flip", recording)
+    rng = np.random.default_rng(62)
+    _, logits = model_forward(rng.standard_normal((4, 5, 5, cfg.bands)), params, cfg)
+    cross_entropy(logits, np.array([1, 2, 3, 1])).backward()
+    assert params.kernel_bwd.grad is not None
+    cube = HsiCube(rng.standard_normal((9, 40, cfg.bands)))   # 360 pixels: two bands
+    assert cube.rows * cube.cols > model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
+    predict_pixels(cube, np.argwhere(np.ones((9, 40), dtype=bool)), params, cfg)
+    assert shapes == [(cfg.hidden_dim, cfg.seq_kernel)] * 2
 
 
 # -- checkpoints ------------------------------------------------------------------------

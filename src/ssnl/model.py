@@ -35,7 +35,11 @@ the window-local tap sum (``autodiff._tap_sum``), bias, activation and pool;
 the classifier. ``model_forward`` (and so training) runs both on gathered
 windows, the conv's two steps inside ``ad.conv2d``.
 ``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
-in fixed bands, and gathers window features between the two stages.
+in fixed bands. Each per-cell chain of the window stage depends only on the
+pixel and on the cell's boundary class, which of its neighbours lie inside
+its window (at most 9 classes for the spatial conv and 5 for the sequence
+conv at kernel width 3); so it runs once per band pixel and class, and a
+window only gathers its cells, takes the mean and runs the classifier.
 
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
 view of its slice, in ``expected_shapes`` order, the one statement of that
@@ -64,7 +68,7 @@ from .errors import (ConfigError, ContractError, FormatError, MagicError, Numeri
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
 INFERENCE_CHUNK = 32  # patches per batched inference forward
-BAND_CHUNKS = 8       # inference chunks per pixel-stage band of predict_pixels
+BAND_CHUNKS = 8       # least inference chunks per band of predict_pixels
 
 
 @dataclass
@@ -253,28 +257,33 @@ def _normalize(spectra: np.ndarray, params: ModelParams, eps: float = 1e-5) -> T
 
 
 def _directions(params: ModelParams, config: ModelConfig) -> list[tuple[Tensor, Tensor, Tensor]]:
-    """(projection, kernel, mix) of each enabled direction. The backward one
-    reads the sequence last pixel first: it is the forward block with
-    ``kernel_bwd``'s taps reversed, a (hidden, k) flip (see the module docstring)."""
+    """(projection, kernel, modulation) of each enabled direction; the
+    modulation, (hidden,), is the direction's mix of the softplus deltas. The
+    backward direction reads the sequence last pixel first: it is the forward
+    block with ``kernel_bwd``'s taps reversed, a (hidden, k) flip (see the
+    module docstring)."""
     table = []
     if config.forward_on:
         table.append((params.proj_fwd, params.kernel_fwd, params.mix_fwd))
     if config.backward_on:
         table.append((params.proj_bwd, ad.flip(params.kernel_bwd, axis=-1), params.mix_bwd))
-    return table
+    return [(proj, kernel, ad.matmul(mix, ad.softplus(params.delta_raw)))
+            for proj, kernel, mix in table]
 
 
-def _spectral_window(blocks: list[tuple[Tensor, Tensor, Tensor]], params: ModelParams,
-                     config: ModelConfig) -> Tensor:
-    """Window stage of the spectral block. Each (sequence, kernel, mix) block,
-    one direction's (..., p*p, hidden) window projections and weights, goes
-    through a depthwise conv over the sequence, activation, additive delta
-    modulation inside tanh, and a mean over the sequence; the means are summed."""
-    means = []
-    for z, kernel, mix in blocks:
-        conv_out = ad.activation(config.activation, ad.conv1d(z, kernel))
-        modulation = ad.matmul(mix, ad.softplus(params.delta_raw))    # (hidden,)
-        means.append(ad.mean(ad.tanh(ad.add(conv_out, modulation)), axis=-2))
+def _direction_state(conv: Tensor, modulation: Tensor, config: ModelConfig) -> Tensor:
+    """One direction's hidden state at each position of its conv output:
+    activation, additive delta modulation, tanh."""
+    return ad.tanh(ad.add(ad.activation(config.activation, conv), modulation))
+
+
+def _spectral_window(blocks: list[tuple[Tensor, Tensor, Tensor]], config: ModelConfig) -> Tensor:
+    """Window stage of the spectral block. Each (sequence, kernel, modulation)
+    block, one direction's (..., p*p, hidden) window projections and weights,
+    goes through a depthwise conv over the sequence, ``_direction_state`` and a
+    mean over the sequence; the means are summed."""
+    means = [ad.mean(_direction_state(ad.conv1d(z, kernel), modulation, config), axis=-2)
+             for z, kernel, modulation in blocks]
     return means[0] if len(means) == 1 else ad.add(*means)
 
 
@@ -284,15 +293,19 @@ def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig)
     (..., hidden)."""
     if not config.spectral_on:
         raise ContractError("bi_network_forward called with both directions disabled")
-    return _spectral_window([(ad.matmul(x_norm, proj), kernel, mix)
-                             for proj, kernel, mix in _directions(params, config)], params, config)
+    return _spectral_window([(ad.matmul(x_norm, proj), kernel, modulation)
+                             for proj, kernel, modulation in _directions(params, config)], config)
+
+
+def _spatial_state(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
+    """The spatial branch at each cell of its conv output: bias, activation."""
+    return ad.activation(config.activation, ad.add(conv, params.spatial_bias))
 
 
 def _spatial_pool(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Window stage of the spatial branch after the convolution: bias,
-    activation, then global average pooling of (..., p, p, channels)."""
-    activated = ad.activation(config.activation, ad.add(conv, params.spatial_bias))
-    return ad.mean(activated, axis=(-3, -2))
+    """Window stage of the spatial branch after the convolution:
+    ``_spatial_state``, then global average pooling of (..., p, p, channels)."""
+    return ad.mean(_spatial_state(conv, params, config), axis=(-3, -2))
 
 
 def spatial_forward(grid: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -342,54 +355,130 @@ def _class_ids(probs: Tensor) -> np.ndarray:
     return np.argmax(probs.data, axis=-1) + 1
 
 
+def _cell_classes(keys: list) -> tuple[np.ndarray, list]:
+    """The boundary class of each window cell, from the cells' hashable keys
+    in raster order, and one key per class, classes in order of first use."""
+    first: dict = {}
+    return np.array([first.setdefault(key, len(first)) for key in keys]), list(first)
+
+
+def _spatial_classes(p: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cell classes of the spatial conv: a class is the (k, k) mask of the
+    taps that stay inside a p x p window, at most 9 masks for k = 3."""
+    offset = np.arange(k) - k // 2
+    inside = [tuple((0 <= i + offset) & (i + offset < p)) for i in range(p)]
+    cell_class, keys = _cell_classes([(inside[i], inside[j]) for i, j in np.ndindex(p, p)])
+    return cell_class, [np.outer(rows, cols) for rows, cols in keys]
+
+
+def _sequence_classes(p: int, k: int, width: int) -> tuple[np.ndarray, list[tuple]]:
+    """Cell classes of the sequence conv over a window's p*p cells in raster
+    order: a class is the plane offset of each tap's neighbour, None where the
+    sequence has none. A row's last cell is followed by the next row's first,
+    ``width - p + 1`` further on in a plane ``width`` pixels wide, so there are
+    at most 5 classes for k = 3."""
+    def offsets(s):
+        return tuple((t // p - s // p) * width + t % p - s % p if 0 <= t < p * p else None
+                     for t in range(s - k // 2, s + k // 2 + 1))
+    return _cell_classes([offsets(s) for s in range(p * p)])
+
+
+def _sequence_conv(z: np.ndarray, kernel: np.ndarray, offsets: tuple) -> np.ndarray:
+    """The depthwise sequence conv of ``z``, (plane pixels, hidden), for cells
+    of one class: zeros plus each tap's shifted neighbour times the tap, in tap
+    order, as the conv1d contraction sums its zero-padded window."""
+    out = np.zeros_like(z)
+    for m, offset in enumerate(offsets):
+        if offset is not None:
+            lo, hi = max(-offset, 0), len(z) - max(offset, 0)
+            out[lo:hi] += z[lo + offset:hi + offset] * kernel[:, m]
+    return out
+
+
+def _class_means(cell_class: np.ndarray, tables, cells: list[np.ndarray]) -> list[Tensor]:
+    """Each run's window means of one branch. ``tables`` yields each class's
+    (plane pixels, channels) table in class order; they fill one stack, and a
+    window gathers every cell from its class's table."""
+    stack = None
+    for c, table in enumerate(tables):
+        if stack is None:
+            stack = np.empty((cell_class.max() + 1,) + table.shape, table.dtype)
+        stack[c] = table
+    rows = stack.reshape(-1, stack.shape[-1])
+    base = cell_class * stack.shape[1]
+    return [ad.mean(Tensor(rows[base + run_cells]), axis=-2) for run_cells in cells]
+
+
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                    config: ModelConfig) -> np.ndarray:
     """Class ids of the scene pixels ``coords``, an (n, 2) array of (row, col).
 
-    The pixel stage (layer norm, both projections, the spatial conv's
-    per-tap channel mix) runs once per pixel of the reflect-padded scene, in
-    fixed bands of BAND_CHUNKS * INFERENCE_CHUNK pixels in raster order, each
-    with the p - 1 padded rows below it. Within a band, every fixed run of
-    INFERENCE_CHUNK pixels holding a requested pixel gathers its windows'
-    features and runs the window stage as one batch. The float results of a
-    GEMM or a batch may depend on the rows that share it; bands and runs come
-    from the scene shape alone, so a pixel gets the same bits whichever pixels
-    are requested: ``eval``, ``map`` and the test pass of ``train`` agree
-    pixel for pixel. ``model_forward`` of the same windows agrees to float
-    rounding, not bitwise."""
+    The scene is reflect-padded and cut into bands, each of fixed runs of
+    INFERENCE_CHUNK pixels in raster order with the p - 1 padded rows below
+    it. A band holds BAND_CHUNKS runs, or enough to cover p - 1 scene rows,
+    so no pixel is in more than about two bands. Only bands that hold a
+    requested pixel are computed.
+
+    Per band, the pixel stage (layer norm, both projections, the spatial
+    conv's per-tap channel mix) runs once per pixel. The window stage's
+    per-cell chains (the spatial tap sum, bias and activation; each
+    direction's sequence conv, activation, modulation and tanh) depend only
+    on the pixel and on the cell's boundary class, the neighbours that lie
+    inside its window, so they run once per (band pixel, class) into tables,
+    one class at a time, and one branch's tables are alive at a time. A window
+    then gathers its cells from the tables and takes the exact mean, and each
+    run holding a requested pixel is classified as one batch. Each cell sums
+    the same products in the same order as ``model_forward``'s convolutions, so
+    the probabilities are bitwise those of the window stage run on each
+    gathered window.
+
+    The float results of a GEMM or a batch may depend on the rows that share
+    it; bands and runs come from the scene shape alone, so a pixel gets the
+    same bits whichever pixels are requested: ``eval``, ``map`` and the test
+    pass of ``train`` agree pixel for pixel. ``model_forward`` of the same
+    windows agrees to float rounding, not bitwise."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (cube.rows, cube.cols))).any():
         raise ContractError(f"pixels outside the {cube.rows}x{cube.cols} raster")
     p, cols, chunk = config.patch_size, cube.cols, INFERENCE_CHUNK
     padded = _pad_scene(cube, p).astype(params.dtype, copy=False)
     width = padded.shape[1]
-    corner = np.arange(p)[:, None] * width + np.arange(p)  # a window's cells from its corner
+    corner = (np.arange(p)[:, None] * width + np.arange(p)).ravel()  # a window's cells
     ids = np.zeros(cube.rows * cols, dtype=np.int64)
     flat = coords[:, 0] * cols + coords[:, 1]
     wanted = np.bincount(flat // chunk, minlength=-(-ids.size // chunk)) > 0
+    band = max(BAND_CHUNKS, -(-(p - 1) * cols // chunk))
+    spatial_class, masks = _spatial_classes(p, config.spatial_kernel)
+    sequence_class, offsets = _sequence_classes(p, config.seq_kernel, width)
     with ad.no_grad(), np.errstate(all="ignore"):
         directions = _directions(params, config)
-        for first in range(0, wanted.size, BAND_CHUNKS):
-            band_chunks = first + np.flatnonzero(wanted[first:first + BAND_CHUNKS])
+        for first in range(0, wanted.size, band):
+            band_chunks = first + np.flatnonzero(wanted[first:first + band])
             if not band_chunks.size:
                 continue
             top = first * chunk // cols
-            bottom = (min((first + BAND_CHUNKS) * chunk, ids.size) - 1) // cols + p
+            bottom = (min((first + band) * chunk, ids.size) - 1) // cols + p
             x_norm = _normalize(padded[top:bottom].reshape(-1, config.bands), params)
-            projected = [(ad.matmul(x_norm, proj), kernel, mix) for proj, kernel, mix in directions]
+            runs = [np.arange(c * chunk, min((c + 1) * chunk, ids.size)) for c in band_chunks]
+            cells = [((run // cols - top) * width + run % cols)[:, None] + corner for run in runs]
+            parts = []
             if config.spatial_on:
                 taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
-            for c in band_chunks:
-                run = np.arange(c * chunk, min((c + 1) * chunk, ids.size))
-                cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
-                seq = cells.reshape(len(run), p * p)
-                parts = []
-                if config.spatial_on:
-                    parts.append(_spatial_pool(Tensor(ad._tap_sum(taps[cells])), params, config))
-                if config.spectral_on:
-                    gathered = [(Tensor(z.data[seq]), kernel, mix) for z, kernel, mix in projected]
-                    parts.append(_spectral_window(gathered, params, config))
-                ids[run] = _class_ids(_classify(parts, params, config)[0])
+                plane = taps.reshape((bottom - top, width) + taps.shape[1:])
+                parts.append(_class_means(spatial_class, (
+                    _spatial_state(Tensor(ad._tap_sum(plane, keep)), params, config).data
+                    .reshape(len(taps), -1) for keep in masks), cells))
+                del taps, plane
+            if config.spectral_on:
+                means = []
+                for proj, kernel, modulation in directions:
+                    z = ad.matmul(x_norm, proj).data
+                    means.append(_class_means(sequence_class, (
+                        _direction_state(Tensor(_sequence_conv(z, kernel.data, shift)),
+                                         modulation, config).data for shift in offsets), cells))
+                parts.append(means[0] if len(means) == 1 else list(map(ad.add, *means)))
+            for i, run in enumerate(runs):
+                ids[run] = _class_ids(_classify([part[i] for part in parts], params, config)[0])
     return ids[flat]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ssnl import autodiff as ad
 from ssnl import model as model_module
 from ssnl.autodiff import Tensor
-from ssnl.data import HsiCube, extract_window
+from ssnl.data import HsiCube, _pad_scene, extract_window
 from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
@@ -631,6 +632,135 @@ def test_flip_reverses_the_backward_kernel_not_the_sequence(monkeypatch):
     assert cube.rows * cube.cols > model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
     predict_pixels(cube, np.argwhere(np.ones((9, 40), dtype=bool)), params, cfg)
     assert shapes == [(cfg.hidden_dim, cfg.seq_kernel)] * 2
+
+
+def _per_window_stage(cube, params, cfg):
+    """Class probabilities of every run of a whole-scene call, by the window
+    stage run on each gathered window: the band's ``_channel_taps`` rows and
+    projections gathered per run, then ``ad._tap_sum``, ``_spatial_pool``,
+    ``_spectral_window`` and ``_classify``, over the bands predict_pixels uses."""
+    p, cols, chunk = cfg.patch_size, cube.cols, model_module.INFERENCE_CHUNK
+    padded = _pad_scene(cube, p).astype(params.dtype)
+    width, pixels = padded.shape[1], cube.rows * cols
+    runs = -(-pixels // chunk)
+    band = max(model_module.BAND_CHUNKS, -(-(p - 1) * cols // chunk))
+    corner = np.arange(p)[:, None] * width + np.arange(p)
+    out = []
+    with ad.no_grad():
+        directions = model_module._directions(params, cfg)
+        for first in range(0, runs, band):
+            top = first * chunk // cols
+            bottom = (min((first + band) * chunk, pixels) - 1) // cols + p
+            x_norm = model_module._normalize(padded[top:bottom].reshape(-1, cfg.bands), params)
+            projected = [(ad.matmul(x_norm, proj), kernel, modulation)
+                         for proj, kernel, modulation in directions]
+            taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+            for c in range(first, min(first + band, runs)):
+                run = np.arange(c * chunk, min((c + 1) * chunk, pixels))
+                cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
+                parts = []
+                if cfg.spatial_on:
+                    parts.append(model_module._spatial_pool(Tensor(ad._tap_sum(taps[cells])),
+                                                            params, cfg))
+                if cfg.spectral_on:
+                    seq = cells.reshape(len(run), p * p)
+                    parts.append(model_module._spectral_window(
+                        [(Tensor(z.data[seq]), kernel, modulation)
+                         for z, kernel, modulation in projected], cfg))
+                out.append(model_module._classify(parts, params, cfg)[0].data)
+    return out
+
+
+_WINDOW_GRID = list(itertools.product((1, 3, 5, 7), itertools.product((1, 3, 5), repeat=2),
+                                      ("silu", "tanh"), (np.float32, np.float64)))
+
+
+def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
+    # the per-class tables sum the same products in the same order as the
+    # convolutions of each gathered window, so not a bit may differ: every
+    # patch size, kernels wider than the patch, both activations and dtypes,
+    # each ablation. 7 x 50 pixels: two bands, of 10 runs at p = 7
+    seen = _recorded_probabilities(monkeypatch)
+    for i, (p, (seq_kernel, spatial_kernel), act, dtype) in enumerate(_WINDOW_GRID):
+        cfg = small_config(patch_size=p, seq_kernel=seq_kernel, spatial_kernel=spatial_kernel,
+                           activation=act, hidden_dim=5, **_FLAG_SETS[i % len(_FLAG_SETS)])
+        params = init_model(cfg, seed=i, dtype=dtype)
+        rng = np.random.default_rng(i)
+        params.flat[...] += 0.2 * rng.standard_normal(params.flat.size)   # non-zero biases and deltas
+        cube = HsiCube(rng.random((7, 50, cfg.bands)))
+        seen.clear()
+        predict_pixels(cube, np.argwhere(np.ones((7, 50), dtype=bool)), params, cfg)
+        expected = _per_window_stage(cube, params, cfg)
+        assert len(seen) == len(expected) == 11
+        for got, want in zip(seen, expected):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (p, seq_kernel,
+                                                                          spatial_kernel, act)
+
+
+def _counting(monkeypatch, name, record):
+    fn = getattr(ad, name)
+
+    def counting(*args, **kwargs):
+        record(*args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(ad, name, counting)
+
+
+def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(monkeypatch):
+    # the activations and tanh see each band pixel once per boundary class and
+    # channel (9 spatial classes for k = 3, 5 sequence classes for k = 3, an
+    # activation and a tanh per direction), plus the classifier's hidden layer
+    # once per window: not every cell of every window (rows * cols * p * p)
+    rows, cols, p = 30, 30, 7
+    cfg = small_config(patch_size=p)
+    params = init_model(cfg, seed=53)
+    cube = HsiCube(np.random.default_rng(54).random((rows, cols, cfg.bands)))
+    band_pixels, elements = [], []
+    _counting(monkeypatch, "layer_norm", lambda x, *_: band_pixels.append(x.size // x.shape[-1]))
+    _counting(monkeypatch, "activation", lambda kind, x: elements.append(x.size))
+    _counting(monkeypatch, "tanh", lambda x: elements.append(x.size))
+    predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
+    width = 9 * cfg.spatial_channels + 2 * 5 * 2 * cfg.hidden_dim
+    windows = rows * cols
+    assert sum(elements) <= sum(band_pixels) * width + windows * cfg.classifier_hidden
+    assert sum(band_pixels) * width < windows * p * p * (cfg.spatial_channels + 4 * cfg.hidden_dim)
+
+
+def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
+    # a band holds at least p - 1 scene rows, so the p - 1 halo rows below it
+    # at most about double the pixel stage's work, on a scene wider than the
+    # 8 runs of 32 pixels a narrow scene's band holds (4.8 times at 8 runs)
+    rows, cols, p = 145, 145, 7
+    cfg = small_config(patch_size=p, hidden_dim=2, spatial_channels=2, classifier_hidden=2)
+    params = init_model(cfg, seed=55)
+    cube = HsiCube(np.random.default_rng(56).random((rows, cols, cfg.bands)))
+    band_pixels = []
+    _counting(monkeypatch, "layer_norm", lambda x, *_: band_pixels.append(x.size // x.shape[-1]))
+    predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
+    assert sum(band_pixels) <= 2.2 * (rows + p - 1) * (cols + p - 1)
+
+
+def test_predict_pixels_peak_memory_on_the_wide_scene():
+    # whole-scene inference of the 30 x 30 x 144, p = 7 benchmark scene holds
+    # one branch's class tables and one run's gathered windows at a time. The
+    # bound is the tracemalloc peak of the per-window design this replaced, in
+    # which each run gathered its windows' per-tap outputs: 4,990,378 bytes
+    # (numpy 2.4, Python 3.11)
+    rows, cols = 30, 30
+    cfg = ModelConfig(bands=144, num_classes=15, patch_size=7, hidden_dim=64,
+                      spatial_channels=32, classifier_hidden=128)
+    params = init_model(cfg, seed=71)
+    cube = HsiCube(np.random.default_rng(72).random((rows, cols, cfg.bands)))
+    pixels = np.argwhere(np.ones((rows, cols), dtype=bool))
+    predict_pixels(cube, pixels, params, cfg)   # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        predict_pixels(cube, pixels, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_990_378
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -12,16 +12,17 @@ from ssnl.autodiff import Tensor
 # replays the graph once in reverse topological order.
 w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
-loss = ad.tanh(ad.matmul(w, x)).sum()
+loss = ad.mean(ad.tanh(ad.matmul(w, x)))
 loss.backward()
 print("loss       :", loss.item())
 print("d loss / dw:\n", w.grad)
 print("d loss / dx:\n", x.grad)
 
-# Gradients accumulate additively across fan-out.
+# Gradients accumulate additively across fan-out: each mean hands every
+# element 1/4.
 y = Tensor(np.ones(4), requires_grad=True)
-(y.sum() + y.sum()).backward()
-print("\nfan-out gradient (expect all 2):", y.grad)
+ad.add(ad.mean(y), ad.mean(y)).backward()
+print("\nfan-out gradient (expect all 0.5):", y.grad)
 
 # The building blocks of the model, in isolation.
 seq = Tensor(np.array([[1.0], [2.0], [3.0]]))      # length 3, one channel
@@ -43,7 +44,7 @@ b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
 
 
 def objective(a_, b_):
-    return ad.silu(ad.matmul(a_, b_)).sum()
+    return ad.mean(ad.silu(ad.matmul(a_, b_)))
 
 
 err = ad.grad_check(objective, [a, b], step=1e-6)

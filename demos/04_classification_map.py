@@ -1,6 +1,6 @@
 """Full-scene prediction rendered as a PPM classification map.
 
-Run:  python demos/04_classification_map.py   (writes map.ppm + truth.ppm)
+Run:  python demos/04_classification_map.py   (writes model.ckpt, map.ppm, truth.ppm)
 """
 
 import numpy as np
@@ -8,8 +8,10 @@ import numpy as np
 from ssnl import (
     ModelConfig,
     TrainConfig,
+    load_model,
     predict_pixels,
     render_class_map,
+    save_model,
     scale_bands,
     split_samples,
     synthesize_cube,
@@ -27,6 +29,11 @@ config = ModelConfig(bands=12, num_classes=4, patch_size=3, hidden_dim=16,
 params, report = train(cube, labels, split, config,
                        TrainConfig(epochs=8, seed=21))
 print(f"trained: final loss {report.losses[-1]:.4f}")
+
+# the checkpoint carries the config with the parameters, bit-exact; map from
+# the reloaded copy, as `ssnl map` does
+save_model("model.ckpt", params, config)
+params, config = load_model("model.ckpt")
 
 # every pixel, in the fixed inference batches `ssnl map` uses, so the two agree
 # pixel for pixel

@@ -6,9 +6,7 @@ Run:  python demos/05_complexity_report.py
 from ssnl import (
     ModelConfig,
     count_params,
-    estimate_flops,
     family_comparison,
-    param_bytes,
     render_complexity_report,
 )
 from ssnl.complexity import macs_per_patch
@@ -19,7 +17,7 @@ print(render_complexity_report(config, batch=32))
 # Counting is exact and closed-form, so scaling laws hold as identities.
 print("\nbatch scaling (MACs):")
 for batch in (1, 2, 4, 8):
-    print(f"  batch {batch}: {estimate_flops(config, batch)}")
+    print(f"  batch {batch}: {batch * macs_per_patch(config)}")
 
 print("\npatch-area scaling (per-patch MACs are affine in p^2):")
 for p in (1, 3, 5, 7, 9):
@@ -30,7 +28,7 @@ print("\nhidden width vs parameters:")
 for width in (16, 32, 64, 128):
     c = ModelConfig(bands=144, num_classes=15, hidden_dim=width)
     print(f"  hidden {width}: {count_params(c)} params "
-          f"({param_bytes(c) / 1e6:.2f} MB at f32)")
+          f"({4 * count_params(c) / 1e6:.2f} MB at f32)")
 
 # Against attention (CH^2) and windowed-conv (k^2 CH) per-pixel costs this
 # sequence family scales with CH alone, so the ratios are CH and k^2.

@@ -14,13 +14,10 @@ reachable through its submodule (``ssnl.data``, ``ssnl.model``, ...).
 from . import autodiff
 from .complexity import (
     count_params,
-    estimate_flops,
     family_comparison,
-    param_bytes,
     render_complexity_report,
 )
 from .data import (
-    extract_window,
     load_cube,
     load_labels,
     scale_bands,
@@ -41,14 +38,11 @@ __all__ = [
     "TrainConfig",
     "autodiff",
     "count_params",
-    "estimate_flops",
     "evaluate",
-    "extract_window",
     "family_comparison",
     "load_cube",
     "load_labels",
     "load_model",
-    "param_bytes",
     "predict_pixels",
     "render_class_map",
     "render_complexity_report",

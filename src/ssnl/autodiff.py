@@ -136,21 +136,6 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -212,18 +197,6 @@ def add(a, b) -> Tensor:
     def backprop(g):
         _accum(a, _lead_reduce(g, a.shape))
         _accum(b, _lead_reduce(g, b.shape))
-
-    return _make(out_data, (a, b), backprop)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_trailing("mul", a, b)
-    out_data = a.data * b.data
-
-    def backprop(g):
-        _accum(a, _lead_reduce(g * b.data, a.shape))
-        _accum(b, _lead_reduce(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backprop)
 
@@ -492,17 +465,6 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 # -- reductions and shape ops ----------------------------------------------------
-
-
-def tsum(x) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    x = _coerce(x)
-    out_data = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def backprop(g):
-        _accum(x, np.full_like(x.data, g))
-
-    return _make(out_data, (x,), backprop)
 
 
 def mean(x, axis=None) -> Tensor:

@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
     )
     save_model(args.out_model, params, run.model_config())
     echo = run.echo_lines(cube=args.cube, labels=args.labels)
-    with open(args.out_report, "w", encoding="ascii") as fh:
+    with open(args.out_report, "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.write(serialize_report(report, echo))
     oa = np.trace(report.confusion.counts) / max(1, report.confusion.total)
     print(

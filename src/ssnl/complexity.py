@@ -25,11 +25,6 @@ def count_params(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in expected_shapes(config).values())
 
 
-def param_bytes(config: ModelConfig) -> int:
-    """Checkpoint payload size of the parameters at 32-bit precision."""
-    return 4 * count_params(config)
-
-
 def macs_per_patch(config: ModelConfig) -> int:
     """Exact multiply-accumulates of one forward pass on one patch.
 
@@ -72,13 +67,6 @@ def elementwise_per_patch(config: ModelConfig) -> int:
     return total
 
 
-def estimate_flops(config: ModelConfig, batch: int) -> int:
-    """Total MACs for a batch of forward passes; exactly linear in batch."""
-    if batch < 1:
-        raise ConfigError(f"batch must be at least 1, got {batch}")
-    return batch * macs_per_patch(config)
-
-
 @dataclass
 class FamilyComparison:
     """The three asymptotic cost expressions evaluated with unit constants."""
@@ -113,13 +101,15 @@ def family_comparison(batch: int, height: int, width: int, bands: int,
 def render_complexity_report(config: ModelConfig, batch: int = 1) -> str:
     """Text table of MACs, FLOPs, elementwise units and parameters, and the
     family comparison."""
-    macs = estimate_flops(config, batch)
+    if batch < 1:
+        raise ConfigError(f"batch must be at least 1, got {batch}")
+    macs = batch * macs_per_patch(config)
     rows = [
         ("MACs", f"{macs}"),
         ("FLOPs (2*MACs)", f"{2 * macs}"),
         ("Elementwise units", f"{batch * elementwise_per_patch(config)}"),
         ("Parameters", f"{count_params(config)}"),
-        ("Param bytes (f32)", f"{param_bytes(config)}"),
+        ("Param bytes (f32)", f"{4 * count_params(config)}"),
     ]
     width_left = max(len(r[0]) for r in rows)
     lines = [f"batch={batch} patch={config.patch_size} bands={config.bands}"]

@@ -3,9 +3,8 @@
 A set of pixels (a split's train or test part) is an (n, 2) int64 array of
 (row, col). Windows reflect about the raster edges by one rule, ``_reflect``,
 for whole-scene windows, single windows and the rotation fill. One index
-table, ``_variant_cells``, states the six geometric variants: ``augment``
-maps a stack of windows by it, and ``PixelWindows`` gathers training samples
-in any variant by it, straight from the padded scene.
+table, ``_variant_cells``, states the six geometric variants; ``PixelWindows``
+gathers training samples in any variant by it, straight from the padded scene.
 
 On-disk formats (both bit-exact round-trippable):
 
@@ -302,18 +301,9 @@ def _variant_cells(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.stack(cols)
 
 
-def augment(windows: np.ndarray) -> np.ndarray:
-    """Geometric training variants of a stack of windows: (..., p, p, bands) to
-    (..., AUGMENT_VARIANTS, p, p, bands), by the table of ``_variant_cells``."""
-    if windows.ndim < 3 or windows.shape[-3] != windows.shape[-2]:
-        raise ContractError(f"augment expects square patches, got shape {windows.shape}")
-    rows, cols = _variant_cells(windows.shape[-2])
-    return windows[..., rows, cols, :]
-
-
 class PixelWindows:
-    """The windows of a fixed set of pixels, each in any of ``augment``'s
-    variants, gathered on demand from one reflect-padded copy of the cube.
+    """The windows of a fixed set of pixels, each in any of the variants of
+    ``_variant_cells``, gathered on demand from one reflect-padded copy of the cube.
 
     Cell (i, j) of pixel (r, c)'s window in a variant is the band vector at
     padded (r + row, c + col), where (row, col) is that variant's source cell
@@ -331,7 +321,7 @@ class PixelWindows:
 
     def gather(self, pixels: np.ndarray, variants: np.ndarray) -> np.ndarray:
         """(n, p, p, bands): the window of pixel ``coords[pixels[k]]`` in variant
-        ``variants[k]`` of ``augment``; variant 0 is the window itself."""
+        ``variants[k]`` of ``_variant_cells``; variant 0 is the window itself."""
         offsets = self._origins[pixels, None, None] + self._cell_offsets[variants]
         return np.take(self._band_vectors, offsets, axis=0)
 

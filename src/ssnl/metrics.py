@@ -33,10 +33,6 @@ class ConfusionMatrix:
         return cls(np.zeros((num_classes, num_classes), dtype=np.int64))
 
     @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 

@@ -50,6 +50,6 @@ def write_ppm(path, image: np.ndarray, comment: str | None = None) -> None:
         fh.write(b"P6\n")
         if comment:
             for line in comment.splitlines():
-                fh.write(f"# {line}\n".encode("ascii"))
+                fh.write(f"# {line}\n".encode("ascii", "backslashreplace"))
         fh.write(f"{cols} {rows}\n255\n".encode("ascii"))
         fh.write(img.tobytes())

@@ -160,7 +160,8 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     """Mini-batch Adam training over the split's training pixels.
 
     With augmentation on, sample s is training pixel s // 6 in variant s % 6
-    of ``augment`` (six samples per pixel); with it off, sample s is pixel s.
+    of ``data._variant_cells`` (six samples per pixel); with it off, sample s
+    is pixel s.
     Each batch gathers its samples' windows from the padded scene, so no
     stack of samples is built. Each epoch reshuffles the sample ids with a
     (seed, epoch)-mixed generator; the last partial batch is kept. Returns the

@@ -24,10 +24,10 @@ from ssnl import (
     train,
 )
 from ssnl.cli import _keep_heap, _one_blas_thread, main
-from ssnl.complexity import estimate_flops, family_comparison, macs_per_patch
-from ssnl.data import augment
+from ssnl.complexity import family_comparison, macs_per_patch, render_complexity_report
 from ssnl.metrics import average_accuracy, kappa, overall_accuracy
 from ssnl.train import gradient_check_model
+from test_data import _variants
 
 SEEDS = (101, 202, 303)
 
@@ -220,9 +220,15 @@ def test_split_fidelity():
 
 def test_complexity_scaling():
     config = ModelConfig(bands=24, num_classes=4, patch_size=5)
-    one = estimate_flops(config, 1)
+
+    def macs(batch):
+        name, value = render_complexity_report(config, batch).splitlines()[1].split()
+        assert name == "MACs"
+        return int(value)
+
+    one = macs(1)
     for batch in (2, 3, 8, 77):
-        assert estimate_flops(config, batch) == batch * one
+        assert macs(batch) == batch * one
 
     sizes = [1, 3, 5, 7, 9, 11]
     values = [macs_per_patch(ModelConfig(bands=24, num_classes=4, patch_size=p))
@@ -241,15 +247,15 @@ def test_complexity_scaling():
 
 def test_augmentation_laws():
     rng = np.random.default_rng(3)
-    patch = rng.standard_normal((5, 5, 6))
-    variants = augment(patch)
+    patch = rng.standard_normal((5, 5, 6)).astype(np.float32)
+    variants = _variants(patch)
     assert len(variants) == 6
 
     data = patch
     for _ in range(4):
-        data = augment(data)[2]
+        data = _variants(data)[2]
     np.testing.assert_array_equal(data, patch)
 
-    np.testing.assert_array_equal(augment(augment(patch)[4])[4], patch)
-    np.testing.assert_array_equal(augment(augment(patch)[5])[5], patch)
+    np.testing.assert_array_equal(_variants(_variants(patch)[4])[4], patch)
+    np.testing.assert_array_equal(_variants(_variants(patch)[5])[5], patch)
     _passed("augmentation laws (rot90^4 == id, flips involutive, count == 6)")

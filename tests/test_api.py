@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,15 @@ DEMOS = ROOT / "demos"
 def test_every_exported_name_resolves():
     for name in ssnl.__all__:
         assert hasattr(ssnl, name), name
+
+
+def test_every_exported_name_is_used_by_the_readme_or_a_demo():
+    # the namespace holds the documented workflow; a name that neither the
+    # README nor a demo uses belongs in its submodule
+    text = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
+        demo.read_text(encoding="utf-8") for demo in sorted(DEMOS.glob("*.py")))
+    unused = [name for name in ssnl.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not unused
 
 
 def test_demo_imports_from_the_package_are_exported():

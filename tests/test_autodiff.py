@@ -70,6 +70,16 @@ def channels_first(x):
     return np.moveaxis(x, -1, -3)
 
 
+def _dot(t, g):
+    # <t, g> as a scalar tensor; the matmul adjoint is 1.0 * g, so backward
+    # hands t exactly g as its output gradient
+    return ad.matmul(ad.reshape(t, (t.size,)), Tensor(np.asarray(g, dtype=t.dtype).ravel()))
+
+
+def _total(t):
+    return _dot(t, np.ones(t.shape))
+
+
 # -- matmul ---------------------------------------------------------------------
 
 
@@ -202,7 +212,7 @@ def test_conv1d_contraction_is_bitwise_the_tap_loop(dtype):
                             requires_grad=True)
             out = ad.conv1d(x, kernel)
             g = rng.standard_normal(shape).astype(dtype)
-            (out * g).sum().backward()
+            _dot(out, g).backward()
             taps = kernel.data.T
             assert out.data.dtype == x.grad.dtype == dtype
             np.testing.assert_array_equal(out.data, _tap_loop(x.data, taps))
@@ -277,7 +287,7 @@ def _assert_adjoint(conv, x, kernel, rng):
     xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
     out = conv(xt, kt)
     g = rng.standard_normal(out.shape)
-    (out * g).sum().backward()
+    _dot(out, g).backward()
     value = float((out.data * g).sum())
     scale = float(np.abs(out.data * g).sum())
     for pair in ((x * xt.grad).sum(), (kernel * kt.grad).sum()):
@@ -315,7 +325,7 @@ def test_conv2d_kernel_gradient_is_the_explicit_correlation():
                 kt = Tensor(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
                 out = ad.conv2d(Tensor(x), kt)
                 g = rng.standard_normal(out.shape)
-                (out * g).sum().backward()
+                _dot(out, g).backward()
                 pad = k // 2
                 xpad = np.pad(x.reshape((-1, h, w, cin)), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
                 gb = g.reshape((-1, h, w, cout))
@@ -391,7 +401,7 @@ def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
         xt = Tensor(x, requires_grad=needs)
         gain = Tensor(gain_values, requires_grad=True)
         bias = Tensor(np.zeros(7, np.float32), requires_grad=True)
-        ad.tsum(ad.mul(ad.layer_norm(xt, gain, bias), g)).backward()
+        _dot(ad.layer_norm(xt, gain, bias), g).backward()
         assert (xt.grad is not None) == needs
         grads.append(gain.grad.tobytes() + bias.grad.tobytes())
     assert grads[0] == grads[1]
@@ -453,7 +463,7 @@ def test_sigmoid_bitwise_equals_where_form(dtype):
 def test_softplus_gradient_is_bitwise_the_sigmoid(dtype):
     x = Tensor((np.random.default_rng(22).standard_normal(500) * 30).astype(dtype),
                requires_grad=True)
-    ad.softplus(x).sum().backward()
+    _total(ad.softplus(x)).backward()
     assert x.grad.tobytes() == _where_sigmoid(x.data).tobytes()
 
 
@@ -492,20 +502,20 @@ def test_softmax_positive_and_sums_to_one():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    x.sum().backward()
+    _total(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_constant_loss_leaves_zero_grad():
     x = Tensor(np.ones(3), requires_grad=True)
-    loss = Tensor(np.array(5.0), requires_grad=True) * 2.0
+    loss = ad.add(Tensor(np.array(5.0), requires_grad=True), 2.0)
     loss.backward()
     np.testing.assert_array_equal(x.grad_array(), np.zeros(3))
 
 
 def test_backward_fanout_adds_exactly():
     x = Tensor(np.ones(4), requires_grad=True)
-    loss = ad.add(x.sum(), x.sum())
+    loss = ad.add(_total(x), _total(x))
     loss.backward()
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones(4))
 
@@ -513,7 +523,7 @@ def test_backward_fanout_adds_exactly():
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
-        (x * 2.0).backward()
+        ad.add(x, 2.0).backward()
 
 
 def test_backward_matches_finite_differences():
@@ -522,7 +532,7 @@ def test_backward_matches_finite_differences():
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
     def fn(w_, x_):
-        return ad.tanh(ad.matmul(w_, x_)).sum()
+        return _total(ad.tanh(ad.matmul(w_, x_)))
 
     assert ad.grad_check(fn, [w, x], step=1e-6) < 1e-6
 
@@ -534,7 +544,7 @@ def test_backward_releases_interior_adjoints_only():
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
         hidden = ad.tanh(ad.matmul(x, w))
-        return w, x, hidden, ad.mean(ad.softmax(hidden), axis=(0, 1)).sum()
+        return w, x, hidden, _total(ad.mean(ad.softmax(hidden), axis=(0, 1)))
 
     w, x, hidden, loss = graph()
     loss.backward()
@@ -557,16 +567,16 @@ def test_no_grad_suspends_recording_in_its_own_thread_only():
     seen = {}
 
     def other_thread():
-        seen["recorded"] = (x * 2.0).requires_grad
+        seen["recorded"] = ad.add(x, 2.0).requires_grad
 
     with ad.no_grad():
-        assert not (x * 2.0).requires_grad
+        assert not ad.add(x, 2.0).requires_grad
         worker = threading.Thread(target=other_thread)
         worker.start()
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert seen["recorded"]
-    assert (x * 2.0).requires_grad
+    assert ad.add(x, 2.0).requires_grad
 
 
 # -- grad_check ----------------------------------------------------------------------
@@ -578,7 +588,7 @@ def test_grad_check_linear_is_near_exact():
     x = Tensor(rng.standard_normal(3), requires_grad=True)
 
     def fn(x_):
-        return ad.matmul(Tensor(a), x_).sum()
+        return _total(ad.matmul(Tensor(a), x_))
 
     assert ad.grad_check(fn, [x]) < 1e-9
 
@@ -587,7 +597,7 @@ def test_grad_check_zero_function():
     x = Tensor(np.ones(4), requires_grad=True)
 
     def fn(x_):
-        return ad.mul(x_, 0.0).sum()
+        return ad.matmul(x_, Tensor(np.zeros(4)))
 
     assert ad.grad_check(fn, [x]) == 0.0
 
@@ -604,8 +614,7 @@ def _weighted(rng):
     pool = rng.choice([-1.0, 1.0], size=4096) * rng.uniform(0.6, 1.4, 4096)
 
     def readout(t):
-        w = pool[: t.size].reshape(t.shape)
-        return ad.mul(t, Tensor(w)).sum()
+        return _dot(t, pool[: t.size])
 
     return readout
 
@@ -815,14 +824,14 @@ def test_elementwise_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
-        ad.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
+        ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
 
 
 def test_scalar_broadcast_allowed():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     out = ad.add(x, Tensor(np.array(1.5)))
     np.testing.assert_array_equal(out.data, np.full((2, 2), 2.5))
-    out.sum().backward()
+    _total(out).backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
 
@@ -844,7 +853,7 @@ def test_determinism_same_graph_same_bits():
         rng = np.random.default_rng(16)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((4, 3)))
-        loss = ad.tanh(ad.matmul(w, x)).sum()
+        loss = _total(ad.tanh(ad.matmul(w, x)))
         loss.backward()
         return loss.item(), w.grad.copy()
 

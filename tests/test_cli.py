@@ -357,6 +357,22 @@ def test_map_dimensions_and_determinism(tmp_path):
     assert (tmp_path / "map2.ppm").read_bytes() == raw
 
 
+def test_non_ascii_cube_path_is_escaped_in_report_and_map(tmp_path):
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    cube = cube.rename(tmp_path / "caf\u00e9.cube")
+    model, report, image = tmp_path / "m.ckpt", tmp_path / "r.txt", tmp_path / "map.ppm"
+    assert main(train_args(cube, labels, model, report)) == 0
+    text = report.read_text(encoding="ascii")
+    assert "caf\\xe9.cube" in text and text.endswith("\n")
+    assert main(["map", "--cube", str(cube), "--model", str(model),
+                 "--out-image", str(image)]) == 0
+    raw = image.read_bytes()
+    header_end = raw.index(b"255\n") + 4
+    assert b"caf\\xe9.cube" in raw[:header_end]
+    assert len(raw) - header_end == 8 * 8 * 3
+
+
 def test_map_does_not_import_numpy_ma(tmp_path):
     # numpy.ma is imported lazily, by np.unique among others, and costs
     # 12-18 ms of start-up in each process that loads it
@@ -581,6 +597,11 @@ def test_complexity_batch_doubles_flops_line(capsys):
     macs1 = int(next(l for l in one.splitlines() if l.startswith("MACs")).split()[-1])
     macs2 = int(next(l for l in two.splitlines() if l.startswith("MACs")).split()[-1])
     assert macs2 == 2 * macs1
+
+
+def test_complexity_rejects_batch_zero(capsys):
+    assert main(["complexity", "--batch", "0"]) == 3
+    assert capsys.readouterr().err == "contract error: batch must be at least 1, got 0\n"
 
 
 def test_gradcheck_default_passes(capsys):

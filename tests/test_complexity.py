@@ -4,10 +4,8 @@ import pytest
 from ssnl.complexity import (
     count_params,
     elementwise_per_patch,
-    estimate_flops,
     family_comparison,
     macs_per_patch,
-    param_bytes,
     render_complexity_report,
 )
 from ssnl.errors import ConfigError
@@ -21,6 +19,11 @@ def cfg(**overrides):
     return ModelConfig(**base)
 
 
+def report_value(config, name, batch=1):
+    lines = render_complexity_report(config, batch).splitlines()
+    return int(next(line for line in lines if line.startswith(name)).split()[-1])
+
+
 def test_count_params_term_by_term_example():
     # 2ch + 2ch*d + 2d*k1 + 2d^2 + d + s*ch*k2^2 + s + hc*(s+d) + hc + k*hc + k
     # with ch=2 d=1 k1=1 s=1 k2=1 hc=1 k=2: 4+4+2+2+1+2+1+2+1+2+2 = 23
@@ -28,7 +31,7 @@ def test_count_params_term_by_term_example():
                        seq_kernel=1, spatial_channels=1, spatial_kernel=1,
                        classifier_hidden=1)
     assert count_params(tiny) == 23
-    assert param_bytes(tiny) == 4 * 23
+    assert report_value(tiny, "Param bytes (f32)") == 4 * 23
 
 
 def test_count_params_matches_allocated_tensors():
@@ -71,9 +74,9 @@ def test_count_params_independent_of_patch_size():
 
 def test_flops_linear_in_batch():
     c = cfg()
-    one = estimate_flops(c, 1)
-    assert estimate_flops(c, 2) == 2 * one
-    assert estimate_flops(c, 7) == 7 * one
+    one = report_value(c, "MACs", 1)
+    assert report_value(c, "MACs", 2) == 2 * one
+    assert report_value(c, "MACs", 7) == 7 * one
 
 
 def test_flops_affine_in_patch_area():
@@ -96,7 +99,7 @@ def test_flops_tiny_config_hand_summed():
                        seq_kernel=1, spatial_channels=1, spatial_kernel=1,
                        classifier_hidden=1)
     assert macs_per_patch(tiny) == 4 + 2 + 2 + 2 + 2 + 1 + 4
-    assert estimate_flops(tiny, 3) == 3 * 17
+    assert report_value(tiny, "MACs", 3) == 3 * 17
 
 
 def test_flops_respects_ablation_flags():
@@ -107,8 +110,8 @@ def test_flops_respects_ablation_flags():
 
 
 def test_flops_rejects_bad_batch():
-    with pytest.raises(ConfigError):
-        estimate_flops(cfg(), 0)
+    with pytest.raises(ConfigError, match="batch must be at least 1, got 0"):
+        render_complexity_report(cfg(), 0)
 
 
 def test_elementwise_units_positive_and_flagged():
@@ -142,8 +145,4 @@ def test_family_ordering_on_grid():
 
 def test_report_batch_doubling_doubles_macs_line():
     c = cfg()
-    one = render_complexity_report(c, batch=1)
-    two = render_complexity_report(c, batch=2)
-    macs_one = int(next(l for l in one.splitlines() if l.startswith("MACs")).split()[-1])
-    macs_two = int(next(l for l in two.splitlines() if l.startswith("MACs")).split()[-1])
-    assert macs_two == 2 * macs_one
+    assert report_value(c, "MACs", 2) == 2 * report_value(c, "MACs", 1)

@@ -24,9 +24,8 @@ the output gradient's im2col columns, so its forward pass keeps no columns.
 pixel with the (in, k*k*out) kernel matrix, gives each pixel's output through
 each tap; ``_tap_sum`` adds, for each cell, the taps its neighbours send it.
 The first step is per pixel, so scene inference (``model.predict_pixels``)
-runs it once per scene pixel, and the second once per scene pixel and
-boundary class: with a mask, ``_tap_sum`` adds only the taps that stay inside
-a window from a given cell.
+runs it once per scene pixel; it sums the taps itself, once per scene pixel
+and boundary class, by the shifted sum it also uses for the sequence conv.
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -286,16 +285,16 @@ def _channel_taps(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, cin) @ mix).reshape(x.shape[:-1] + (k, k, cout))
 
 
-def _tap_sum(taps: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def _tap_sum(taps: np.ndarray) -> np.ndarray:
     """The window step of ``conv2d``: (..., h, w, k, k, out) per-tap outputs to
     (..., h, w, out). Cell (i, j) adds tap (a, b) of cell (i + a - k//2,
     j + b - k//2), taps in raster order from zeros; a cell outside the grid
-    adds nothing, and neither does a tap that the (k, k) mask ``keep`` clears."""
+    adds nothing."""
     h, w, k = taps.shape[-5:-2]
     out = np.zeros(taps.shape[:-5] + (h, w, taps.shape[-1]), taps.dtype)
     for a, b in np.ndindex(k, k):
         di, dj = a - k // 2, b - k // 2
-        if abs(di) < h and abs(dj) < w and (keep is None or keep[a, b]):
+        if abs(di) < h and abs(dj) < w:
             out[..., max(-di, 0):h - max(di, 0), max(-dj, 0):w - max(dj, 0), :] += \
                 taps[..., max(di, 0):h - max(-di, 0), max(dj, 0):w - max(-dj, 0), a, b, :]
     return out

@@ -189,9 +189,10 @@ def cmd_train(args) -> int:
         cube, labels, split, run.model_config(), run.train_config(),
         verbose=args.verbose,
     )
-    save_model(args.out_model, params, run.model_config())
     echo = run.echo_lines(cube=args.cube, labels=args.labels)
+    # the report opens first, so an unwritable report path leaves no checkpoint
     with open(args.out_report, "w", encoding="ascii", errors="backslashreplace") as fh:
+        save_model(args.out_model, params, run.model_config())
         fh.write(serialize_report(report, echo))
     oa = np.trace(report.confusion.counts) / max(1, report.confusion.total)
     print(
@@ -361,6 +362,8 @@ def _one_blas_thread():
 def main(argv=None) -> int:
     _keep_heap()
     _one_blas_thread()
+    if hasattr(sys.stdout, "reconfigure"):  # a non-ASCII path prints escaped, as in the report
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -37,9 +37,11 @@ windows, the conv's two steps inside ``ad.conv2d``.
 ``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
 in fixed bands. Each per-cell chain of the window stage depends only on the
 pixel and on the cell's boundary class, which of its neighbours lie inside
-its window (at most 9 classes for the spatial conv and 5 for the sequence
-conv at kernel width 3); so it runs once per band pixel and class, and a
-window only gathers its cells, takes the mean and runs the classifier.
+its window: one rule for both convolutions (``_cell_classes``; at most 9
+classes for the spatial conv and 5 for the sequence conv at kernel width 3).
+So it runs once per band pixel and class, one sum of shifted per-tap terms
+(``_class_means``), and a window only gathers its cells, takes the mean and
+runs the classifier.
 
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
 view of its slice, in ``expected_shapes`` order, the one statement of that
@@ -355,58 +357,36 @@ def _class_ids(probs: Tensor) -> np.ndarray:
     return np.argmax(probs.data, axis=-1) + 1
 
 
-def _cell_classes(keys: list) -> tuple[np.ndarray, list]:
-    """The boundary class of each window cell, from the cells' hashable keys
-    in raster order, and one key per class, classes in order of first use."""
+def _cell_classes(p: int, width: int, neighbours) -> tuple[np.ndarray, list[tuple]]:
+    """The boundary class of each cell of a p x p window in raster order, and
+    one key per class, classes in order of first use. ``neighbours(i, j)``
+    gives the (row, col) that each tap of cell (i, j) reads; the key holds,
+    per tap, that cell's offset in a plane ``width`` pixels wide, or None where
+    it lies outside the window."""
     first: dict = {}
-    return np.array([first.setdefault(key, len(first)) for key in keys]), list(first)
+    cell_class = [first.setdefault(tuple(
+        (r - i) * width + c - j if 0 <= r < p and 0 <= c < p else None
+        for r, c in neighbours(i, j)), len(first)) for i, j in np.ndindex(p, p)]
+    return np.array(cell_class), list(first)
 
 
-def _spatial_classes(p: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Cell classes of the spatial conv: a class is the (k, k) mask of the
-    taps that stay inside a p x p window, at most 9 masks for k = 3."""
-    offset = np.arange(k) - k // 2
-    inside = [tuple((0 <= i + offset) & (i + offset < p)) for i in range(p)]
-    cell_class, keys = _cell_classes([(inside[i], inside[j]) for i, j in np.ndindex(p, p)])
-    return cell_class, [np.outer(rows, cols) for rows, cols in keys]
-
-
-def _sequence_classes(p: int, k: int, width: int) -> tuple[np.ndarray, list[tuple]]:
-    """Cell classes of the sequence conv over a window's p*p cells in raster
-    order: a class is the plane offset of each tap's neighbour, None where the
-    sequence has none. A row's last cell is followed by the next row's first,
-    ``width - p + 1`` further on in a plane ``width`` pixels wide, so there are
-    at most 5 classes for k = 3."""
-    def offsets(s):
-        return tuple((t // p - s // p) * width + t % p - s % p if 0 <= t < p * p else None
-                     for t in range(s - k // 2, s + k // 2 + 1))
-    return _cell_classes([offsets(s) for s in range(p * p)])
-
-
-def _sequence_conv(z: np.ndarray, kernel: np.ndarray, offsets: tuple) -> np.ndarray:
-    """The depthwise sequence conv of ``z``, (plane pixels, hidden), for cells
-    of one class: zeros plus each tap's shifted neighbour times the tap, in tap
-    order, as the conv1d contraction sums its zero-padded window."""
-    out = np.zeros_like(z)
-    for m, offset in enumerate(offsets):
-        if offset is not None:
-            lo, hi = max(-offset, 0), len(z) - max(offset, 0)
-            out[lo:hi] += z[lo + offset:hi + offset] * kernel[:, m]
-    return out
-
-
-def _class_means(cell_class: np.ndarray, tables, cells: list[np.ndarray]) -> list[Tensor]:
-    """Each run's window means of one branch. ``tables`` yields each class's
-    (plane pixels, channels) table in class order; they fill one stack, and a
-    window gathers every cell from its class's table."""
-    stack = None
-    for c, table in enumerate(tables):
-        if stack is None:
-            stack = np.empty((cell_class.max() + 1,) + table.shape, table.dtype)
-        stack[c] = table
+def _class_means(classes, terms, cells: list[np.ndarray], state, *args) -> list[Tensor]:
+    """Each run's window means of one branch. Per class of ``classes``, each
+    plane pixel sums, from zeros in tap order, ``terms[m]`` (plane pixels,
+    channels) at its key's offset of tap m, skipping None; ``state(sum,
+    *args)`` fills the class's slot of one stack, and a window gathers every
+    cell from its class's slot."""
+    cell_class, keys = classes
+    n = terms[0].shape[0]
+    stack = np.zeros((len(keys),) + terms[0].shape, terms[0].dtype)
+    for slot, key in zip(stack, keys):
+        for term, offset in zip(terms, key):
+            if offset is not None:
+                lo, hi = max(-offset, 0), n - max(offset, 0)
+                slot[lo:hi] += term[lo + offset:hi + offset]
+        slot[...] = state(Tensor(slot), *args).data
     rows = stack.reshape(-1, stack.shape[-1])
-    base = cell_class * stack.shape[1]
-    return [ad.mean(Tensor(rows[base + run_cells]), axis=-2) for run_cells in cells]
+    return [ad.mean(Tensor(rows[cell_class * n + run_cells]), axis=-2) for run_cells in cells]
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
@@ -425,12 +405,17 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     direction's sequence conv, activation, modulation and tanh) depend only
     on the pixel and on the cell's boundary class, the neighbours that lie
     inside its window, so they run once per (band pixel, class) into tables,
-    one class at a time, and one branch's tables are alive at a time. A window
-    then gathers its cells from the tables and takes the exact mean, and each
-    run holding a requested pixel is classified as one batch. Each cell sums
-    the same products in the same order as ``model_forward``'s convolutions, so
-    the probabilities are bitwise those of the window stage run on each
-    gathered window.
+    one class at a time, and one branch's tables are alive at a time. Both
+    convolutions are one sum over the band plane of per-tap terms, shifted by
+    each kept tap's flat plane offset: the spatial conv's per-tap channel mix,
+    and each direction's projection times each kernel tap. A window then
+    gathers its cells from the tables and takes the exact mean, and each run
+    holding a requested pixel is classified as one batch. The kept taps of a
+    cell that a window reads lie inside that window, so inside the plane: the
+    cell sums the same products in the same order as ``model_forward``'s
+    convolutions, and the probabilities are bitwise those of the window stage
+    run on each gathered window. A cell whose offsets wrap to another plane
+    row is never read.
 
     The float results of a GEMM or a batch may depend on the rows that share
     it; bands and runs come from the scene shape alone, so a pixel gets the
@@ -448,8 +433,11 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     flat = coords[:, 0] * cols + coords[:, 1]
     wanted = np.bincount(flat // chunk, minlength=-(-ids.size // chunk)) > 0
     band = max(BAND_CHUNKS, -(-(p - 1) * cols // chunk))
-    spatial_class, masks = _spatial_classes(p, config.spatial_kernel)
-    sequence_class, offsets = _sequence_classes(p, config.seq_kernel, width)
+    hs, hq = config.spatial_kernel // 2, config.seq_kernel // 2
+    spatial = _cell_classes(p, width, lambda i, j: [
+        (i + a, j + b) for a in range(-hs, hs + 1) for b in range(-hs, hs + 1)])
+    sequence = _cell_classes(p, width, lambda i, j: [  # s + m in raster order, row to row
+        divmod(i * p + j + m, p) for m in range(-hq, hq + 1)])
     with ad.no_grad(), np.errstate(all="ignore"):
         directions = _directions(params, config)
         for first in range(0, wanted.size, band):
@@ -464,18 +452,16 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
             parts = []
             if config.spatial_on:
                 taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
-                plane = taps.reshape((bottom - top, width) + taps.shape[1:])
-                parts.append(_class_means(spatial_class, (
-                    _spatial_state(Tensor(ad._tap_sum(plane, keep)), params, config).data
-                    .reshape(len(taps), -1) for keep in masks), cells))
-                del taps, plane
+                terms = taps.reshape(len(taps), -1, taps.shape[-1]).transpose(1, 0, 2)
+                parts.append(_class_means(spatial, terms, cells, _spatial_state, params, config))
+                del taps, terms
             if config.spectral_on:
-                means = []
-                for proj, kernel, modulation in directions:
-                    z = ad.matmul(x_norm, proj).data
-                    means.append(_class_means(sequence_class, (
-                        _direction_state(Tensor(_sequence_conv(z, kernel.data, shift)),
-                                         modulation, config).data for shift in offsets), cells))
+                # (k, plane pixels, hidden) terms; a contiguous copy of the
+                # taps, as the product is slow on a channel stride of k
+                means = [_class_means(sequence, ad.matmul(x_norm, proj).data
+                                      * np.ascontiguousarray(kernel.data.T)[:, None], cells,
+                                      _direction_state, modulation, config)
+                         for proj, kernel, modulation in directions]
                 parts.append(means[0] if len(means) == 1 else list(map(ad.add, *means)))
             for i, run in enumerate(runs):
                 ids[run] = _class_ids(_classify([part[i] for part in parts], params, config)[0])

@@ -373,6 +373,36 @@ def test_non_ascii_cube_path_is_escaped_in_report_and_map(tmp_path):
     assert len(raw) - header_end == 8 * 8 * 3
 
 
+def test_train_with_an_unwritable_report_leaves_no_checkpoint(tmp_path, capsys):
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    model = tmp_path / "m.ckpt"
+    assert main(train_args(cube, labels, model, tmp_path / "nodir" / "r.txt")) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_non_ascii_paths_print_escaped_to_an_ascii_stdout(tmp_path):
+    # every command that prints a path (synth, train, eval, map) escapes it
+    # as the report and PPM writers do, where an ASCII stdout would raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+    argv, cube, labels = synth_args(tmp_path)
+    cube = tmp_path / "caf\u00e9.cube"
+    model = tmp_path / "m\u00e9.ckpt"
+    argv[argv.index("--out-cube") + 1] = str(cube)
+    code = "import sys; from ssnl.cli import main; sys.exit(main(sys.argv[1:]))"
+    for command in (argv, train_args(cube, labels, model, tmp_path / "r.txt"),
+                    ["eval", "--cube", str(cube), "--labels", str(labels),
+                     "--model", str(model), "--ratio", "0.2", "--split-seed", "0"],
+                    ["map", "--cube", str(cube), "--model", str(model),
+                     "--out-image", str(tmp_path / "\u00e9.ppm")]):
+        proc = subprocess.run([sys.executable, "-c", code, *command], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "\\xe9" in proc.stdout, command[0]
+
+
 def test_map_does_not_import_numpy_ma(tmp_path):
     # numpy.ma is imported lazily, by np.unique among others, and costs
     # 12-18 ms of start-up in each process that loads it

@@ -679,7 +679,9 @@ def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
     # the per-class tables sum the same products in the same order as the
     # convolutions of each gathered window, so not a bit may differ: every
     # patch size, kernels wider than the patch, both activations and dtypes,
-    # each ablation. 7 x 50 pixels: two bands, of 10 runs at p = 7
+    # each ablation. 7 x 50 pixels: two bands, of 10 runs at p = 7. On the
+    # 13 x 3 and 9 x 1 scenes the flat plane offsets of edge cells wrap to
+    # the next or previous plane row
     seen = _recorded_probabilities(monkeypatch)
     for i, (p, (seq_kernel, spatial_kernel), act, dtype) in enumerate(_WINDOW_GRID):
         cfg = small_config(patch_size=p, seq_kernel=seq_kernel, spatial_kernel=spatial_kernel,
@@ -687,14 +689,15 @@ def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
         params = init_model(cfg, seed=i, dtype=dtype)
         rng = np.random.default_rng(i)
         params.flat[...] += 0.2 * rng.standard_normal(params.flat.size)   # non-zero biases and deltas
-        cube = HsiCube(rng.random((7, 50, cfg.bands)))
-        seen.clear()
-        predict_pixels(cube, np.argwhere(np.ones((7, 50), dtype=bool)), params, cfg)
-        expected = _per_window_stage(cube, params, cfg)
-        assert len(seen) == len(expected) == 11
-        for got, want in zip(seen, expected):
-            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (p, seq_kernel,
-                                                                          spatial_kernel, act)
+        for rows, cols in ((7, 50), (13, 3), (9, 1)):
+            cube = HsiCube(rng.random((rows, cols, cfg.bands)))
+            seen.clear()
+            predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
+            expected = _per_window_stage(cube, params, cfg)
+            assert len(seen) == len(expected)
+            for got, want in zip(seen, expected):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes(), (
+                    rows, cols, p, seq_kernel, spatial_kernel, act)
 
 
 def _counting(monkeypatch, name, record):

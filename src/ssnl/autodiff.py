@@ -18,7 +18,8 @@ returns the sliding-window view both convolutions read. For a zero same-padded
 convolution, the input gradient convolves the output gradient with the kernel
 flipped in space (for ``conv2d``, in and out channels swapped too), and the
 kernel gradient correlates the output gradient with the input. ``conv1d``
-computes each as one ``einsum`` over a window view; ``conv2d`` takes both from
+computes each as one ``einsum`` over a window view, padding again in its
+backward pass rather than keeping the padded copy; ``conv2d`` takes both from
 the output gradient's im2col columns, so its forward pass keeps no columns.
 ``conv2d``'s forward pass is two steps: ``_channel_taps``, one GEMM of every
 pixel with the (in, k*k*out) kernel matrix, gives each pixel's output through
@@ -26,6 +27,17 @@ each tap; ``_tap_sum`` adds, for each cell, the taps its neighbours send it.
 The first step is per pixel, so scene inference (``model.predict_pixels``)
 runs it once per scene pixel; it sums the taps itself, once per scene pixel
 and boundary class, by the shifted sum it also uses for the sequence conv.
+
+An input that needs no gradient gets none. A layer norm of data keeps
+``xhat``, not its input, and marks its output ``xhat * gain + bias``
+(``Tensor._affine``; a ``reshape`` that keeps the last axis passes the mark
+on). ``matmul`` and ``conv2d`` fold a marked input: they link to ``gain`` and
+``bias``, form no input gradient, and take both gradients from their
+weight-gradient GEMM ``M = xhat.T @ g`` and the row sums ``s`` of ``g``, with
+W (in, out): ``dW = gain * M + bias * s``, ``d gain = (W * M).sum(1)``,
+``d bias = W @ s`` (``_fold``). An activation's slope is written once
+(``_slope``), for ``silu``, ``tanh`` and the model's per-cell chains, each
+one node (``_cell_state``).
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -75,7 +87,7 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """Dense n-d float array with a gradient slot and graph bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_affine")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backprop=None):
         self.data = _as_array(data)
@@ -83,6 +95,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backprop = _backprop
+        # (xhat, gain, bias) of a layer norm of data, for its consumers' fold
+        self._affine: tuple | None = None
 
     @property
     def shape(self):
@@ -215,13 +229,29 @@ def matmul(a, b) -> Tensor:
     b2 = b.data.reshape(k, -1)
     a2 = a.data.reshape(-1, k)
     out_data = (a2 @ b2).reshape(a.shape[:-1] + b.shape[1:])
+    affine, parents, rows = a._affine, (a, b), a2
+    if affine is not None:  # fold a layer norm of data: keep xhat, not a
+        a, rows, parents = None, affine[0].reshape(-1, k), affine[1:] + (b,)
 
     def backprop(g):
         g2 = g.reshape(-1, b2.shape[1])
-        _accum(a, (g2 @ b2.T).reshape(a.shape))
-        _accum(b, (a2.T @ g2).reshape(b.shape))
+        if a is None:
+            grad_b = _fold(affine, b2, rows.T @ g2, g2.sum(axis=0))
+        else:
+            _accum(a, (g2 @ b2.T).reshape(a.shape))
+            grad_b = rows.T @ g2
+        _accum(b, grad_b.reshape(b.shape))
 
-    return _make(out_data, (a, b), backprop)
+    return _make(out_data, parents, backprop)
+
+
+def _fold(affine, w: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Weight ``w``'s gradient, (in, out), on a marked layer norm ``affine``, from
+    ``m = xhat.T @ g`` and the row sums ``s`` of ``g``; accumulates gain's and bias's."""
+    _, gain, bias = affine
+    _accum(gain, (w * m).sum(axis=1))
+    _accum(bias, w @ s)
+    return gain.data[:, None] * m + bias.data[:, None] * s
 
 
 # -- convolutions --------------------------------------------------------------
@@ -254,14 +284,15 @@ def conv1d(x, kernel) -> Tensor:
             f"conv1d channel counts differ: input {x.shape} vs kernel {kernel.shape}"
         )
     k, axes = kernel.shape[1], (x.ndim - 2,)
-    windows = _windows(x.data, k, axes)  # (..., length, channels, k)
     # (k, channels): tap j weighs window slot j. A copy, not the transposed
     # view: einsum's inner loop is fast only when channels are unit-stride in
     # both operands, as they are in the windows
     taps = np.ascontiguousarray(kernel.data.T)
-    out_data = np.einsum("...lcj,jc->...lc", windows, taps)
+    out_data = np.einsum("...lcj,jc->...lc", _windows(x.data, k, axes), taps)
 
     def backprop(g):
+        # pads again, so the padded copy is not kept between the passes
+        windows = _windows(x.data, k, axes)  # (..., length, channels, k)
         rows = windows.shape[-3:]  # the leading axes merge without a copy
         _accum(kernel, np.einsum("blc,blcj->cj", g.reshape((-1,) + rows[:2]),
                                  windows.reshape((-1,) + rows)))
@@ -319,18 +350,24 @@ def conv2d(x, kernels) -> Tensor:
         raise ShapeError(
             f"conv2d channel counts differ: input {x.shape} vs kernels {kernels.shape}"
         )
-    xb = x.data.reshape((-1,) + x.shape[-3:])
     cout, cin, k = kernels.shape[:3]
     out_data = _tap_sum(_channel_taps(x.data, kernels.data))
+    g_shape, rows = (-1,) + x.shape[-3:-1] + (cout,), x.data.reshape(-1, cin)
+    affine, parents = x._affine, (x, kernels)
+    if affine is not None:  # fold a layer norm of data: keep xhat, not x
+        x, rows, parents = None, affine[0].reshape(-1, cin), affine[1:] + (kernels,)
 
     def backprop(g):
-        gcols = _im2col(g.reshape(xb.shape[:-1] + (cout,)), k)
-        taps = (gcols.T @ xb.reshape(-1, cin)).reshape(k, k, cout, cin)[::-1, ::-1]
-        _accum(kernels, taps.transpose(2, 3, 0, 1))
+        gcols = _im2col(g.reshape(g_shape), k)
+        grad_k = gcols.T @ rows  # (k*k*out, in), taps in flipped order
         flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-        _accum(x, (gcols @ flipped).reshape(x.shape))
+        if x is None:
+            grad_k = _fold(affine, flipped.T, grad_k.T, gcols.sum(axis=0)).T
+        else:
+            _accum(x, (gcols @ flipped).reshape(x.shape))
+        _accum(kernels, grad_k.reshape(k, k, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1))
 
-    return _make(out_data, (x, kernels), backprop)
+    return _make(out_data, parents, backprop)
 
 
 # -- normalization and activations ---------------------------------------------
@@ -352,18 +389,22 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = d * inv
     out_data = xhat * gain.data + bias.data
+    lead = tuple(range(x.ndim - 1))
+    x = x if x.requires_grad else None  # data: keep xhat, not the input
 
     def backprop(g):
-        lead = tuple(range(x.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead))
         _accum(bias, g.sum(axis=lead))
-        if x.requires_grad:  # the model's input is data: nothing to compute
+        if x is not None:
             gxhat = g * gain.data
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
             _accum(x, inv * (gxhat - m1 - xhat * m2))
 
-    return _make(out_data, (x, gain, bias), backprop)
+    out = _make(out_data, (gain, bias) if x is None else (x, gain, bias), backprop)
+    if x is None and out.requires_grad:
+        out._affine = (xhat, gain, bias)
+    return out
 
 
 def _sigmoid(d: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -374,25 +415,35 @@ def _sigmoid(d: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(e, d >= 0) / (1.0 + e)
 
 
-def silu(x) -> Tensor:
+def _act(kind: str, d: np.ndarray) -> np.ndarray:
+    return d * _sigmoid(d) if kind == "silu" else np.tanh(d)
+
+
+def _slope(kind: str, d: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation's slope at its input ``d``; tanh's from its output ``out`` if given."""
+    if kind == "silu":
+        s = _sigmoid(d)
+        return s * (1.0 + d * (1.0 - s))
+    t = np.tanh(d) if out is None else out
+    return 1.0 - t * t
+
+
+def _activate(kind: str, x) -> Tensor:
     x = _coerce(x)
-    s = _sigmoid(x.data)
-    out_data = x.data * s
+    out_data = _act(kind, x.data)
 
     def backprop(g):
-        _accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
+        _accum(x, g * _slope(kind, x.data, out_data))
 
     return _make(out_data, (x,), backprop)
 
 
+def silu(x) -> Tensor:
+    return _activate("silu", x)
+
+
 def tanh(x) -> Tensor:
-    x = _coerce(x)
-    t = np.tanh(x.data)
-
-    def backprop(g):
-        _accum(x, g * (1.0 - t * t))
-
-    return _make(t, (x,), backprop)
+    return _activate("tanh", x)
 
 
 _ACTIVATIONS = {"silu": silu, "tanh": tanh}
@@ -406,6 +457,22 @@ def activation(kind: str, x) -> Tensor:
         raise ConfigError(f"unknown activation kind {kind!r}; expected one of "
                           f"{sorted(_ACTIVATIONS)}") from None
     return fn(x)
+
+
+def _cell_state(kind: str, x, b, tanh_after: bool) -> Tensor:
+    """One node for a per-cell chain: ``act(x + b)``, or ``tanh(act(x) + b)`` with
+    ``tanh_after``. Values and gradients are bitwise those of the composed ops;
+    it keeps only ``x`` and its output, and backward recomputes the slope."""
+    x, b = _coerce(x), _coerce(b)
+    out_data = np.tanh(_act(kind, x.data) + b.data) if tanh_after else _act(kind, x.data + b.data)
+
+    def backprop(g):
+        g = g * (_slope("tanh", None, out_data) if tanh_after
+                 else _slope(kind, x.data + b.data, out_data))
+        _accum(b, _lead_reduce(g, b.shape))
+        _accum(x, g * _slope(kind, x.data) if tanh_after else g)
+
+    return _make(out_data, (x, b), backprop)
 
 
 def softplus(x) -> Tensor:
@@ -514,7 +581,10 @@ def reshape(x, shape) -> Tensor:
     def backprop(g):
         _accum(x, g.reshape(x.shape))
 
-    return _make(out_data, (x,), backprop)
+    out = _make(out_data, (x,), backprop)
+    if x._affine is not None and out_data.shape[-1:] == x.shape[-1:]:  # still foldable
+        out._affine = (x._affine[0].reshape(out_data.shape),) + x._affine[1:]
+    return out
 
 
 def transpose(x, axes=None) -> Tensor:

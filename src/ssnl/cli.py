@@ -190,9 +190,14 @@ def cmd_train(args) -> int:
         verbose=args.verbose,
     )
     echo = run.echo_lines(cube=args.cube, labels=args.labels)
-    # the report opens first, so an unwritable report path leaves no checkpoint
+    # the report opens first and goes if the checkpoint fails: a failed run leaves neither
     with open(args.out_report, "w", encoding="ascii", errors="backslashreplace") as fh:
-        save_model(args.out_model, params, run.model_config())
+        try:
+            save_model(args.out_model, params, run.model_config())
+        except OSError:
+            fh.close()
+            Path(args.out_report).unlink()
+            raise
         fh.write(serialize_report(report, echo))
     oa = np.trace(report.confusion.counts) / max(1, report.confusion.total)
     print(

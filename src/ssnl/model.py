@@ -25,7 +25,7 @@ hidden) and the spatial grid (..., p, p, bands), so per-channel biases and the
 delta modulation add by trailing broadcast, with no transposes.
 ``model_forward`` returns the class probabilities and the logits; a caller that
 needs an intermediate value calls the stage it comes from (``normalize_input``,
-``bi_network_forward``, ``spatial_forward``).
+``_spatial_pool``, ``_spectral_window``, ``_classify``).
 
 The model splits into a pixel stage and a window stage. The pixel stage is
 per pixel: layer norm, both projections, and the spatial conv's channel mix
@@ -33,7 +33,10 @@ per pixel: layer norm, both projections, and the spatial conv's channel mix
 the rest: each direction's conv1d, activation, modulation, tanh and mean;
 the window-local tap sum (``autodiff._tap_sum``), bias, activation and pool;
 the classifier. ``model_forward`` (and so training) runs both on gathered
-windows, the conv's two steps inside ``ad.conv2d``.
+windows, the conv's two steps inside ``ad.conv2d``, the pixel stage of both
+branches first. The graph holds neither the batch nor its layer norm (their
+gradients fold into the conv's and projections', see ``autodiff``), so both
+are let go before the window stages.
 ``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
 in fixed bands. Each per-cell chain of the window stage depends only on the
 pixel and on the cell's boundary class, which of its neighbours lie inside
@@ -273,50 +276,24 @@ def _directions(params: ModelParams, config: ModelConfig) -> list[tuple[Tensor, 
             for proj, kernel, mix in table]
 
 
-def _direction_state(conv: Tensor, modulation: Tensor, config: ModelConfig) -> Tensor:
-    """One direction's hidden state at each position of its conv output:
-    activation, additive delta modulation, tanh."""
-    return ad.tanh(ad.add(ad.activation(config.activation, conv), modulation))
-
-
 def _spectral_window(blocks: list[tuple[Tensor, Tensor, Tensor]], config: ModelConfig) -> Tensor:
     """Window stage of the spectral block. Each (sequence, kernel, modulation)
     block, one direction's (..., p*p, hidden) window projections and weights,
-    goes through a depthwise conv over the sequence, ``_direction_state`` and a
-    mean over the sequence; the means are summed."""
-    means = [ad.mean(_direction_state(ad.conv1d(z, kernel), modulation, config), axis=-2)
+    goes through a depthwise conv over the sequence, the state chain
+    (activation, additive delta modulation, tanh: one graph node) and a mean
+    over the sequence; the means are summed."""
+    means = [ad.mean(ad._cell_state(config.activation, ad.conv1d(z, kernel), modulation,
+                                    tanh_after=True), axis=-2)
              for z, kernel, modulation in blocks]
     return means[0] if len(means) == 1 else ad.add(*means)
 
 
-def bi_network_forward(x_norm: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Bidirectional spectral descriptor: mean-over-sequence of each enabled
-    direction's hidden states, summed. Takes (..., length, bands) and returns
-    (..., hidden)."""
-    if not config.spectral_on:
-        raise ContractError("bi_network_forward called with both directions disabled")
-    return _spectral_window([(ad.matmul(x_norm, proj), kernel, modulation)
-                             for proj, kernel, modulation in _directions(params, config)], config)
-
-
-def _spatial_state(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """The spatial branch at each cell of its conv output: bias, activation."""
-    return ad.activation(config.activation, ad.add(conv, params.spatial_bias))
-
-
 def _spatial_pool(conv: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Window stage of the spatial branch after the convolution:
-    ``_spatial_state``, then global average pooling of (..., p, p, channels)."""
-    return ad.mean(_spatial_state(conv, params, config), axis=(-3, -2))
-
-
-def spatial_forward(grid: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Spatial descriptor: 2-d convolution over the normalized patch grid
-    (..., p, p, bands), bias, activation, then global average pooling to a
-    (..., channels) vector."""
-    if not config.spatial_on:
-        raise ContractError("spatial_forward called with the spatial branch disabled")
-    return _spatial_pool(ad.conv2d(grid, params.spatial_kernels), params, config)
+    """Window stage of the spatial branch after the convolution: bias and
+    activation (one graph node), then global average pooling of (..., p, p,
+    channels)."""
+    state = ad._cell_state(config.activation, conv, params.spatial_bias, tanh_after=False)
+    return ad.mean(state, axis=(-3, -2))
 
 
 def _classify(parts: list[Tensor], params: ModelParams,
@@ -337,15 +314,19 @@ def model_forward(patch, params: ModelParams,
     """Full pass: normalize, spatial branch, bidirectional spectral block,
     concatenation, one-hidden-layer classifier. ``patch`` is one
     (p, p, bands) patch or a (batch, p, p, bands) stack; returns the softmax
-    probabilities and the logits, (classes,) or (batch, classes)."""
+    probabilities and the logits, (classes,) or (batch, classes). The pixel stage
+    runs first; the batch and its layer norm, not in the graph, go before the rest."""
     p = config.patch_size
     x_norm = normalize_input(patch, params, config)
-    parts = []
-    if config.spatial_on:
-        grid = ad.reshape(x_norm, x_norm.shape[:-2] + (p, p, config.bands))
-        parts.append(spatial_forward(grid, params, config))
-    if config.spectral_on:
-        parts.append(bi_network_forward(x_norm, params, config))
+    del patch
+    conv = ad.conv2d(ad.reshape(x_norm, x_norm.shape[:-2] + (p, p, config.bands)),
+                     params.spatial_kernels) if config.spatial_on else None
+    blocks = [(ad.matmul(x_norm, proj), kernel, modulation)
+              for proj, kernel, modulation in _directions(params, config)]
+    del x_norm
+    parts = [] if conv is None else [_spatial_pool(conv, params, config)]
+    if blocks:
+        parts.append(_spectral_window(blocks, config))
     return _classify(parts, params, config)
 
 
@@ -370,12 +351,13 @@ def _cell_classes(p: int, width: int, neighbours) -> tuple[np.ndarray, list[tupl
     return np.array(cell_class), list(first)
 
 
-def _class_means(classes, terms, cells: list[np.ndarray], state, *args) -> list[Tensor]:
+def _class_means(classes, terms, cells: list[np.ndarray], kind: str, b: Tensor,
+                 tanh_after: bool) -> list[Tensor]:
     """Each run's window means of one branch. Per class of ``classes``, each
     plane pixel sums, from zeros in tap order, ``terms[m]`` (plane pixels,
-    channels) at its key's offset of tap m, skipping None; ``state(sum,
-    *args)`` fills the class's slot of one stack, and a window gathers every
-    cell from its class's slot."""
+    channels) at its key's offset of tap m, skipping None; the branch's state
+    chain, ``ad._cell_state(kind, sum, b, tanh_after)``, fills the class's
+    slot of one stack, and a window gathers every cell from its class's slot."""
     cell_class, keys = classes
     n = terms[0].shape[0]
     stack = np.zeros((len(keys),) + terms[0].shape, terms[0].dtype)
@@ -384,7 +366,7 @@ def _class_means(classes, terms, cells: list[np.ndarray], state, *args) -> list[
             if offset is not None:
                 lo, hi = max(-offset, 0), n - max(offset, 0)
                 slot[lo:hi] += term[lo + offset:hi + offset]
-        slot[...] = state(Tensor(slot), *args).data
+        slot[...] = ad._cell_state(kind, Tensor(slot), b, tanh_after).data
     rows = stack.reshape(-1, stack.shape[-1])
     return [ad.mean(Tensor(rows[cell_class * n + run_cells]), axis=-2) for run_cells in cells]
 
@@ -453,14 +435,15 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
             if config.spatial_on:
                 taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
                 terms = taps.reshape(len(taps), -1, taps.shape[-1]).transpose(1, 0, 2)
-                parts.append(_class_means(spatial, terms, cells, _spatial_state, params, config))
+                parts.append(_class_means(spatial, terms, cells, config.activation,
+                                          params.spatial_bias, tanh_after=False))
                 del taps, terms
             if config.spectral_on:
                 # (k, plane pixels, hidden) terms; a contiguous copy of the
                 # taps, as the product is slow on a channel stride of k
                 means = [_class_means(sequence, ad.matmul(x_norm, proj).data
                                       * np.ascontiguousarray(kernel.data.T)[:, None], cells,
-                                      _direction_state, modulation, config)
+                                      config.activation, modulation, tanh_after=True)
                          for proj, kernel, modulation in directions]
                 parts.append(means[0] if len(means) == 1 else list(map(ad.add, *means)))
             for i, run in enumerate(runs):

@@ -391,20 +391,33 @@ def test_layer_norm_forward_is_bitwise_the_var_form(dtype):
 
 
 def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
-    # an input that needs no gradient (the model's data) gets none computed;
-    # the gain and bias gradients keep their bits
+    # a layer norm of data (an input that needs no gradient) is left out of
+    # the graph: matmul, and conv2d through a reshape, take the gain's and
+    # bias's gradients from their weight gradients, and the input gets none.
+    # Folded, the gain, bias and weight gradients are the composed rule's
+    # (the same input needing a gradient) up to summation order
     rng = np.random.default_rng(22)
-    x, g = rng.standard_normal((2, 2, 3, 7)).astype(np.float32)
-    gain_values = rng.standard_normal(7).astype(np.float32)
-    grads = []
-    for needs in (True, False):
-        xt = Tensor(x, requires_grad=needs)
-        gain = Tensor(gain_values, requires_grad=True)
-        bias = Tensor(np.zeros(7, np.float32), requires_grad=True)
-        _dot(ad.layer_norm(xt, gain, bias), g).backward()
-        assert (xt.grad is not None) == needs
-        grads.append(gain.grad.tobytes() + bias.grad.tobytes())
-    assert grads[0] == grads[1]
+    bands = 7
+    for p in (1, 5):
+        for k in (1, 3):
+            arrays = [rng.standard_normal((2, p * p, bands)) * 3.0 + 1.0,
+                      rng.standard_normal(bands), rng.standard_normal(bands),
+                      rng.standard_normal((bands, 4)), rng.standard_normal((3, bands, k, k))]
+            g_proj, g_conv = rng.standard_normal((2, p * p, 4)), rng.standard_normal((2, p, p, 3))
+            grads = []
+            for needs in (True, False):
+                xt = Tensor(arrays[0], requires_grad=needs)
+                gain, bias, proj, kernels = (Tensor(a, requires_grad=True) for a in arrays[1:])
+                x_norm = ad.layer_norm(xt, gain, bias)
+                grid = ad.reshape(x_norm, (2, p, p, bands))
+                loss = ad.add(_dot(ad.matmul(x_norm, proj), g_proj),
+                              _dot(ad.conv2d(grid, kernels), g_conv))
+                assert any(node is x_norm for node in ad._reverse_topo(loss)) == needs
+                loss.backward()
+                assert (xt.grad is not None) == needs
+                grads.append([gain.grad, bias.grad, proj.grad, kernels.grad])
+            for composed, folded in zip(*grads):
+                assert np.abs(folded - composed).max() <= 1e-12 * np.abs(composed).max(), (p, k)
 
 
 def test_layer_norm_gain_bias_shape_check():

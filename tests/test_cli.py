@@ -374,12 +374,14 @@ def test_non_ascii_cube_path_is_escaped_in_report_and_map(tmp_path):
 
 
 def test_train_with_an_unwritable_report_leaves_no_checkpoint(tmp_path, capsys):
+    # and the mirror case: an unwritable checkpoint leaves no report
     argv, cube, labels = synth_args(tmp_path)
     main(argv)
-    model = tmp_path / "m.ckpt"
-    assert main(train_args(cube, labels, model, tmp_path / "nodir" / "r.txt")) == 2
-    assert "i/o error" in capsys.readouterr().err
-    assert not model.exists()
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    for outputs in ((model, tmp_path / "nodir" / "r.txt"), (tmp_path / "nodir" / "m.ckpt", report)):
+        assert main(train_args(cube, labels, *outputs)) == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert not model.exists() and not report.exists()
 
 
 def test_non_ascii_paths_print_escaped_to_an_ascii_stdout(tmp_path):

@@ -12,13 +12,12 @@ from ssnl import autodiff as ad
 from ssnl import model as model_module
 from ssnl.autodiff import Tensor
 from ssnl.data import HsiCube, _pad_scene, extract_window
-from ssnl.errors import ConfigError, ContractError, MagicError, ShapeError, SsnlError
+from ssnl.errors import ConfigError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
     _config_line,
     _parse_config_line,
     ModelParams,
-    bi_network_forward,
     expected_shapes,
     init_model,
     load_model,
@@ -26,7 +25,6 @@ from ssnl.model import (
     normalize_input,
     predict_pixels,
     save_model,
-    spatial_forward,
 )
 from ssnl.train import AdamState, TrainConfig, adam_step, cross_entropy, gradient_check_model
 
@@ -36,6 +34,20 @@ def small_config(**overrides):
                 spatial_channels=3, classifier_hidden=8)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def _spectral(x_norm, params, config):
+    # the spectral branch as model_forward runs it: both projections of the
+    # (..., length, bands) pixels, then the window stage, to (..., hidden)
+    return model_module._spectral_window(
+        [(ad.matmul(x_norm, proj), kernel, modulation)
+         for proj, kernel, modulation in model_module._directions(params, config)], config)
+
+
+def _spatial(grid, params, config):
+    # the spatial branch as model_forward runs it: the conv over a normalized
+    # (..., p, p, bands) grid, then the window stage, to (..., channels)
+    return model_module._spatial_pool(ad.conv2d(grid, params.spatial_kernels), params, config)
 
 
 def random_patch(config, seed=0):
@@ -162,7 +174,7 @@ def test_project_identity_weights():
     _quiet_modulation(params)
     params.proj_fwd.data = np.eye(6)
     x_norm = np.random.default_rng(0).standard_normal((9, 6))
-    out = bi_network_forward(Tensor(x_norm), params, cfg)
+    out = _spectral(Tensor(x_norm), params, cfg)
     expected = _naive_direction(x_norm, params.kernel_fwd.data).mean(axis=1)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -173,7 +185,7 @@ def test_project_zero_input():
     cfg = small_config()
     params = init_model(cfg, seed=0, dtype=np.float64)
     params.delta_raw.data = np.linspace(-1.0, 1.0, 4)
-    out = bi_network_forward(Tensor(np.zeros((9, 6))), params, cfg)
+    out = _spectral(Tensor(np.zeros((9, 6))), params, cfg)
     delta = np.log1p(np.exp(params.delta_raw.data))
     expected = (np.tanh(params.mix_fwd.data @ delta)
                 + np.tanh(params.mix_bwd.data @ delta))
@@ -188,7 +200,7 @@ def test_project_single_pixel_matmul_oracle():
     _quiet_modulation(params)
     params.proj_fwd.data = np.array([[2.0, 0.0], [0.0, 3.0]])
     params.kernel_fwd.data = np.ones((2, 1))
-    out = bi_network_forward(Tensor(np.array([[1.0, 0.0]])), params, cfg)
+    out = _spectral(Tensor(np.array([[1.0, 0.0]])), params, cfg)
     silu_2 = 2.0 / (1.0 + math.exp(-2.0))
     np.testing.assert_allclose(out.data, [math.tanh(silu_2), 0.0], atol=1e-12)
 
@@ -211,8 +223,8 @@ def test_reverse_spectral_involution_and_order():
     x_norm = np.random.default_rng(1).standard_normal((9, 6))
     for seq, rev in ((x_norm, x_norm[::-1].copy()), (x_norm[::-1].copy(), x_norm)):
         np.testing.assert_allclose(
-            bi_network_forward(Tensor(seq), params, bwd_cfg).data,
-            bi_network_forward(Tensor(rev), params, fwd_cfg).data, atol=1e-12)
+            _spectral(Tensor(seq), params, bwd_cfg).data,
+            _spectral(Tensor(rev), params, fwd_cfg).data, atol=1e-12)
 
 
 # -- bidirectional block -----------------------------------------------------------------
@@ -248,7 +260,7 @@ def test_bi_network_modulation_vanishes():
     params = init_model(cfg, seed=3, dtype=np.float64)
     _quiet_modulation(params)
     x_norm = Tensor(np.random.default_rng(1).standard_normal((9, 6)))
-    combined = bi_network_forward(x_norm, params, cfg)
+    combined = _spectral(x_norm, params, cfg)
 
     fwd = _naive_direction(x_norm.data @ params.proj_fwd.data, params.kernel_fwd.data)
     bwd = _naive_direction(
@@ -266,7 +278,7 @@ def test_bi_network_zero_everything_gives_zero():
     params.mix_fwd.data = np.zeros_like(params.mix_fwd.data)
     params.mix_bwd.data = np.zeros_like(params.mix_bwd.data)
     params.delta_raw.data = np.full(4, -1e9)
-    combined = bi_network_forward(Tensor(np.zeros((9, 6))), params, cfg)
+    combined = _spectral(Tensor(np.zeros((9, 6))), params, cfg)
     np.testing.assert_array_equal(combined.data, np.zeros(4))
 
 
@@ -285,7 +297,7 @@ def test_bi_network_scalar_chain_hand_derived():
     params.mix_fwd.data = np.array([[a]])
     params.mix_bwd.data = np.array([[a]])
     params.delta_raw.data = np.array([raw])
-    combined = bi_network_forward(Tensor(np.array([[u]])), params, cfg)
+    combined = _spectral(Tensor(np.array([[u]])), params, cfg)
     d = math.log1p(math.exp(raw))
     f = (w * u) / (1.0 + math.exp(-(w * u)))
     expected = 2.0 * math.tanh(f + a * d)
@@ -296,14 +308,14 @@ def test_bi_network_disabled_direction_contributes_zero():
     cfg = small_config(backward_on=False)
     params = init_model(cfg, seed=4, dtype=np.float64)
     x_norm = Tensor(np.random.default_rng(2).standard_normal((9, 6)))
-    combined = bi_network_forward(x_norm, params, cfg)
+    combined = _spectral(x_norm, params, cfg)
     both = small_config()
     params_fwd_only = init_model(both, seed=4, dtype=np.float64)
-    trace_probe = bi_network_forward(x_norm, params_fwd_only, both)
+    trace_probe = _spectral(x_norm, params_fwd_only, both)
     assert not np.array_equal(combined.data, trace_probe.data)
     # forward-only equals the full block minus the backward mean
     cfg_bwd = small_config(forward_on=False)
-    bwd_only = bi_network_forward(x_norm, init_model(cfg_bwd, seed=4, dtype=np.float64), cfg_bwd)
+    bwd_only = _spectral(x_norm, init_model(cfg_bwd, seed=4, dtype=np.float64), cfg_bwd)
     np.testing.assert_allclose(combined.data + bwd_only.data, trace_probe.data, atol=1e-12)
 
 
@@ -316,8 +328,8 @@ def test_bi_network_reversal_invariance_with_delta_kernels():
     _delta_kernels(params)
     rng = np.random.default_rng(3)
     x_norm = rng.standard_normal((9, 6))
-    a = bi_network_forward(Tensor(x_norm), params, cfg)
-    b = bi_network_forward(Tensor(x_norm[::-1].copy()), params, cfg)
+    a = _spectral(Tensor(x_norm), params, cfg)
+    b = _spectral(Tensor(x_norm[::-1].copy()), params, cfg)
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -329,8 +341,8 @@ def test_bi_network_palindrome_symmetry():
     half = rng.standard_normal((4, 6))
     middle = rng.standard_normal((1, 6))
     x_norm = Tensor(np.vstack([half, middle, half[::-1]]))
-    fwd_mean = bi_network_forward(x_norm, params, small_config(backward_on=False))
-    bwd_mean = bi_network_forward(x_norm, params, small_config(forward_on=False))
+    fwd_mean = _spectral(x_norm, params, small_config(backward_on=False))
+    bwd_mean = _spectral(x_norm, params, small_config(forward_on=False))
     np.testing.assert_array_equal(fwd_mean.data, bwd_mean.data)
 
 
@@ -340,7 +352,7 @@ def test_bi_network_palindrome_symmetry():
 def test_spatial_zero_patch_zero_bias_gives_zero():
     cfg = small_config()
     params = init_model(cfg, seed=0, dtype=np.float64)
-    out = spatial_forward(Tensor(np.zeros((3, 3, 6))), params, cfg)
+    out = _spatial(Tensor(np.zeros((3, 3, 6))), params, cfg)
     np.testing.assert_array_equal(out.data, np.zeros(3))
 
 
@@ -352,7 +364,7 @@ def test_spatial_degenerate_one_by_one_patch():
     params = init_model(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(5)
     spectrum = rng.standard_normal(4)
-    out = spatial_forward(Tensor(spectrum.reshape(1, 1, 4)), params, cfg)
+    out = _spatial(Tensor(spectrum.reshape(1, 1, 4)), params, cfg)
     w = params.spatial_kernels.data.reshape(3, 4)
     pre = w @ spectrum + params.spatial_bias.data
     expected = pre / (1.0 + np.exp(-pre))
@@ -366,18 +378,11 @@ def test_spatial_constant_patch_conv_oracle():
     params.spatial_kernels.data = np.ones((1, 1, 3, 3))
     params.spatial_bias.data = np.zeros(1)
     patch = np.full((3, 3, 1), 2.0)
-    out = spatial_forward(Tensor(patch), params, cfg)
+    out = _spatial(Tensor(patch), params, cfg)
     # zero same-padding: corner sums 4 cells, edge 6, center 9
     conv = 2.0 * np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
     act = conv / (1.0 + np.exp(-conv))
     assert out.data[0] == pytest.approx(act.mean(), rel=1e-12)
-
-
-def test_spatial_disabled_branch_rejected():
-    cfg = small_config(spatial_on=False)
-    params = init_model(cfg, seed=0)
-    with pytest.raises(ContractError):
-        spatial_forward(Tensor(np.zeros((3, 3, 6))), params, cfg)
 
 
 # -- full forward -----------------------------------------------------------------------
@@ -429,9 +434,9 @@ def test_forward_trace_shapes():
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
     np.testing.assert_array_equal(probs.data, ad.softmax(logits).data)
     x_norm = normalize_input(patch, params, cfg)
-    assert bi_network_forward(x_norm, params, cfg).shape == (4,)
+    assert _spectral(x_norm, params, cfg).shape == (4,)
     grid = Tensor(x_norm.data.reshape(3, 3, 6))
-    assert spatial_forward(grid, params, cfg).shape == (3,)
+    assert _spatial(grid, params, cfg).shape == (3,)
 
 
 def test_forward_ablation_shrinks_feature_vector():
@@ -446,9 +451,6 @@ def test_forward_ablation_shrinks_feature_vector():
     assert params.classifier_w1.shape == (8, 3)
     probs, _ = model_forward(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
     assert probs.shape == (3,)
-    x_norm = normalize_input(random_patch(cfg_so, seed=patch_seed), params, cfg_so)
-    with pytest.raises(ContractError):
-        bi_network_forward(x_norm, params, cfg_so)
 
 
 @pytest.mark.parametrize("flags", [{}, {"spatial_on": False}, {"forward_on": False},
@@ -634,6 +636,22 @@ def test_flip_reverses_the_backward_kernel_not_the_sequence(monkeypatch):
     assert shapes == [(cfg.hidden_dim, cfg.seq_kernel)] * 2
 
 
+def test_training_graph_holds_neither_the_batch_nor_its_normalized_pixels():
+    # the layer norm reads data, so the spatial conv and both projections take
+    # its gain's and bias's gradients from their weight gradients: no node of
+    # a training step's graph holds the (8, 7, 7, 12) batch or its (8, 49, 12)
+    # normalized pixels
+    cfg = small_config(bands=12, patch_size=7)
+    params = init_model(cfg, seed=63)
+    batch = np.random.default_rng(64).random((8, 7, 7, 12)).astype(params.dtype)
+    _, logits = model_forward(batch, params, cfg)
+    loss = cross_entropy(logits, np.arange(8) % cfg.num_classes + 1)
+    shapes = {node.shape for node in ad._reverse_topo(loss)}
+    assert not shapes & {(8, 49, 12), (8, 7, 7, 12)}
+    loss.backward()
+    assert all(t.grad is not None for _, t in params.named_tensors())
+
+
 def _per_window_stage(cube, params, cfg):
     """Class probabilities of every run of a whole-scene call, by the window
     stage run on each gathered window: the band's ``_channel_taps`` rows and
@@ -704,25 +722,28 @@ def _counting(monkeypatch, name, record):
     fn = getattr(ad, name)
 
     def counting(*args, **kwargs):
-        record(*args)
+        record(*args, **kwargs)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(ad, name, counting)
 
 
 def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(monkeypatch):
-    # the activations and tanh see each band pixel once per boundary class and
+    # the per-cell state nodes see each band pixel once per boundary class and
     # channel (9 spatial classes for k = 3, 5 sequence classes for k = 3, an
-    # activation and a tanh per direction), plus the classifier's hidden layer
-    # once per window: not every cell of every window (rows * cols * p * p)
+    # activation and a tanh per direction, so a direction's node counts each
+    # element twice), and the classifier's activation its hidden layer once per
+    # window: not every cell of every window (rows * cols * p * p)
     rows, cols, p = 30, 30, 7
     cfg = small_config(patch_size=p)
     params = init_model(cfg, seed=53)
     cube = HsiCube(np.random.default_rng(54).random((rows, cols, cfg.bands)))
     band_pixels, elements = [], []
-    _counting(monkeypatch, "layer_norm", lambda x, *_: band_pixels.append(x.size // x.shape[-1]))
+    _counting(monkeypatch, "layer_norm",
+              lambda x, *_, **__: band_pixels.append(x.size // x.shape[-1]))
     _counting(monkeypatch, "activation", lambda kind, x: elements.append(x.size))
-    _counting(monkeypatch, "tanh", lambda x: elements.append(x.size))
+    _counting(monkeypatch, "_cell_state", lambda kind, x, b, tanh_after:
+              elements.append(x.size * (2 if tanh_after else 1)))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     width = 9 * cfg.spatial_channels + 2 * 5 * 2 * cfg.hidden_dim
     windows = rows * cols
@@ -739,7 +760,8 @@ def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
     params = init_model(cfg, seed=55)
     cube = HsiCube(np.random.default_rng(56).random((rows, cols, cfg.bands)))
     band_pixels = []
-    _counting(monkeypatch, "layer_norm", lambda x, *_: band_pixels.append(x.size // x.shape[-1]))
+    _counting(monkeypatch, "layer_norm",
+              lambda x, *_, **__: band_pixels.append(x.size // x.shape[-1]))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     assert sum(band_pixels) <= 2.2 * (rows + p - 1) * (cols + p - 1)
 

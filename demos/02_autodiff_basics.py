@@ -7,12 +7,13 @@ import numpy as np
 
 from ssnl import autodiff as ad
 from ssnl.autodiff import Tensor
+from ssnl.data import standardize
 
 # Leaves opt into gradients; every op records its local rule; backward()
 # replays the graph once in reverse topological order.
 w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
-loss = ad.mean(ad.tanh(ad.matmul(w, x)))
+loss = ad.mean(ad.activation("tanh", ad.matmul(w, x)))
 loss.backward()
 print("loss       :", loss.item())
 print("d loss / dw:\n", w.grad)
@@ -32,9 +33,10 @@ print("\nconv1d box kernel on [1,2,3]:", ad.conv1d(seq, box).data.ravel())
 v = Tensor(np.array([0.0, np.log(3.0)]))
 print("softmax [0, ln3]          :", ad.softmax(v).data)     # [0.25, 0.75]
 
-ln = ad.layer_norm(Tensor(np.array([0.0, 2.0])),
-                   Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14)
-print("layer_norm [0, 2]         :", ln.data)                # [-1, 1]
+# The model's layer norm: per-pixel statistics on data, outside the graph,
+# then a learned gain and bias.
+ln = ad.affine(standardize(np.array([0.0, 2.0])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+print("layer norm [0, 2]         :", ln.data)                # [-1, 1] / sqrt(1 + 1e-5)
 
 # Checking machinery: worst relative error of tape gradients against
 # central finite differences, per coordinate.
@@ -44,7 +46,7 @@ b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
 
 
 def objective(a_, b_):
-    return ad.mean(ad.silu(ad.matmul(a_, b_)))
+    return ad.mean(ad.activation("silu", ad.matmul(a_, b_)))
 
 
 err = ad.grad_check(objective, [a, b], step=1e-6)

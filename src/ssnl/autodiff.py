@@ -28,20 +28,21 @@ The first step is per pixel, so scene inference (``model.predict_pixels``)
 runs it once per scene pixel; it sums the taps itself, once per scene pixel
 and boundary class, by the shifted sum it also uses for the sequence conv.
 
-An input that needs no gradient gets none. A layer norm of data keeps
-``xhat``, not its input, and marks its output ``xhat * gain + bias``
-(``Tensor._affine``; a ``reshape`` that keeps the last axis passes the mark
-on). ``matmul`` and ``conv2d`` fold a marked input: they link to ``gain`` and
-``bias``, form no input gradient, and take both gradients from their
-weight-gradient GEMM ``M = xhat.T @ g`` and the row sums ``s`` of ``g``, with
-W (in, out): ``dW = gain * M + bias * s``, ``d gain = (W * M).sum(1)``,
-``d bias = W @ s`` (``_fold``). An activation's slope is written once
-(``_slope``), for ``silu``, ``tanh`` and the model's per-cell chains, each
-one node (``_cell_state``).
+An input that needs no gradient gets none. ``affine``, the model's first op,
+scales data ``xhat`` (the standardized input) by a learned ``gain`` and
+``bias``, and marks its output ``xhat * gain + bias`` (``Tensor._affine``; a
+``reshape`` that keeps the last axis passes the mark on). ``matmul`` and
+``conv2d`` fold a marked input: they link to ``gain`` and ``bias``, form no
+input gradient, and take both gradients from their weight-gradient GEMM
+``M = xhat.T @ g`` and the row sums ``s`` of ``g``, with W (in, out):
+``dW = gain * M + bias * s``, ``d gain = (W * M).sum(1)``, ``d bias = W @ s``
+(``_fold``). An activation's slope is written once (``_slope``), for
+``activation`` and the model's per-cell chains, each one node
+(``_cell_state``).
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
-magnitude range), else after sorting. The logistic sigmoid in ``silu`` and in the
+magnitude range), else after sorting. The logistic sigmoid in silu and in the
 ``softplus`` gradient is computed from one ``exp(-|x|)``, which cannot
 overflow; ``softplus`` keeps the one its forward pass computed.
 """
@@ -95,7 +96,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backprop = _backprop
-        # (xhat, gain, bias) of a layer norm of data, for its consumers' fold
+        # (xhat, gain, bias) of an affine of data, for its consumers' fold
         self._affine: tuple | None = None
 
     @property
@@ -230,7 +231,7 @@ def matmul(a, b) -> Tensor:
     a2 = a.data.reshape(-1, k)
     out_data = (a2 @ b2).reshape(a.shape[:-1] + b.shape[1:])
     affine, parents, rows = a._affine, (a, b), a2
-    if affine is not None:  # fold a layer norm of data: keep xhat, not a
+    if affine is not None:  # fold an affine of data: keep xhat, not a
         a, rows, parents = None, affine[0].reshape(-1, k), affine[1:] + (b,)
 
     def backprop(g):
@@ -246,7 +247,7 @@ def matmul(a, b) -> Tensor:
 
 
 def _fold(affine, w: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Weight ``w``'s gradient, (in, out), on a marked layer norm ``affine``, from
+    """Weight ``w``'s gradient, (in, out), on a marked affine ``affine``, from
     ``m = xhat.T @ g`` and the row sums ``s`` of ``g``; accumulates gain's and bias's."""
     _, gain, bias = affine
     _accum(gain, (w * m).sum(axis=1))
@@ -354,7 +355,7 @@ def conv2d(x, kernels) -> Tensor:
     out_data = _tap_sum(_channel_taps(x.data, kernels.data))
     g_shape, rows = (-1,) + x.shape[-3:-1] + (cout,), x.data.reshape(-1, cin)
     affine, parents = x._affine, (x, kernels)
-    if affine is not None:  # fold a layer norm of data: keep xhat, not x
+    if affine is not None:  # fold an affine of data: keep xhat, not x
         x, rows, parents = None, affine[0].reshape(-1, cin), affine[1:] + (kernels,)
 
     def backprop(g):
@@ -370,39 +371,25 @@ def conv2d(x, kernels) -> Tensor:
     return _make(out_data, parents, backprop)
 
 
-# -- normalization and activations ---------------------------------------------
+# -- the model's input and activations ------------------------------------------
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit population variance, then
-    apply elementwise gain and bias."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    n = x.shape[-1]
+def affine(xhat: np.ndarray, gain, bias) -> Tensor:
+    """``xhat * gain + bias`` over the last axis, of data ``xhat`` (a
+    standardized input, ``data.standardize``): ``xhat`` gets no gradient, and
+    the output carries the fold mark (see the module docstring)."""
+    gain, bias = _coerce(gain), _coerce(bias)
+    n = xhat.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(
-            f"layer_norm gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    d = x.data - mu
-    # np.var's own subtract, square, sum and divide, with d computed once
-    var = np.mean(np.square(d), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv
-    out_data = xhat * gain.data + bias.data
-    lead = tuple(range(x.ndim - 1))
-    x = x if x.requires_grad else None  # data: keep xhat, not the input
+        raise ShapeError(f"affine gain/bias must be ({n},), got {gain.shape} and {bias.shape}")
+    lead = tuple(range(xhat.ndim - 1))
 
     def backprop(g):
         _accum(gain, (g * xhat).sum(axis=lead))
         _accum(bias, g.sum(axis=lead))
-        if x is not None:
-            gxhat = g * gain.data
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gxhat - m1 - xhat * m2))
 
-    out = _make(out_data, (gain, bias) if x is None else (x, gain, bias), backprop)
-    if x is None and out.requires_grad:
+    out = _make(xhat * gain.data + bias.data, (gain, bias), backprop)
+    if out.requires_grad:
         out._affine = (xhat, gain, bias)
     return out
 
@@ -428,7 +415,10 @@ def _slope(kind: str, d: np.ndarray | None, out: np.ndarray | None = None) -> np
     return 1.0 - t * t
 
 
-def _activate(kind: str, x) -> Tensor:
+def activation(kind: str, x) -> Tensor:
+    """Apply the named elementwise nonlinearity (``silu`` or ``tanh``)."""
+    if kind not in ("silu", "tanh"):
+        raise ConfigError(f"unknown activation kind {kind!r}; expected silu or tanh")
     x = _coerce(x)
     out_data = _act(kind, x.data)
 
@@ -436,27 +426,6 @@ def _activate(kind: str, x) -> Tensor:
         _accum(x, g * _slope(kind, x.data, out_data))
 
     return _make(out_data, (x,), backprop)
-
-
-def silu(x) -> Tensor:
-    return _activate("silu", x)
-
-
-def tanh(x) -> Tensor:
-    return _activate("tanh", x)
-
-
-_ACTIVATIONS = {"silu": silu, "tanh": tanh}
-
-
-def activation(kind: str, x) -> Tensor:
-    """Apply the named elementwise nonlinearity (``silu`` or ``tanh``)."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected one of "
-                          f"{sorted(_ACTIVATIONS)}") from None
-    return fn(x)
 
 
 def _cell_state(kind: str, x, b, tanh_after: bool) -> Tensor:

@@ -12,8 +12,9 @@ repeated ``--set key=value`` flags, and the dedicated flags. A dedicated flag
 parser. Unknown keys are rejected; the resolved configuration is echoed into
 outputs for provenance.
 
-Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape,
-4 numerical failure.
+Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape
+(an allocation the machine refuses, such as a model or scene too large for
+memory, included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return 2
     except (ShapeError, ContractError, ConfigError) as exc:
         print(f"contract error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"contract error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

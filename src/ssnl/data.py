@@ -181,7 +181,9 @@ def synthesize_cube(
 ) -> tuple[HsiCube, LabelRaster]:
     """Deterministic striped scene: class c fills a horizontal stripe and emits a
     Gaussian spectral bump centered at band c*bands/(classes+1), plus optional
-    zero-mean Gaussian noise. Every pixel is labeled (1..classes)."""
+    zero-mean Gaussian noise. Every pixel is labeled (1..classes). A noise that
+    is negative, not finite, or takes a value beyond float32's range is a
+    ConfigError."""
     if cols < 1:
         raise ConfigError(f"cols must be at least 1, got {cols}")
     if classes > rows:
@@ -190,8 +192,8 @@ def synthesize_cube(
         raise ConfigError("need at least one class")
     if bands < classes:
         raise ConfigError(f"bands ({bands}) must be at least classes ({classes})")
-    if not math.isfinite(noise_sigma):
-        raise ConfigError(f"noise must be finite, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise must be finite and non-negative, got {noise_sigma}")
     rng = seeded_rng(seed)
     row_idx = np.arange(rows)
     labels = (row_idx * classes // rows + 1).astype(np.int64)
@@ -202,10 +204,12 @@ def synthesize_cube(
     centers = np.array([c * bands / (classes + 1.0) for c in range(1, classes + 1)])
     spectra = np.exp(-0.5 * ((band_idx[None, :] - centers[:, None]) / width) ** 2)
 
-    values = spectra[labels - 1] + noise_sigma * rng.standard_normal(
-        (rows, cols, bands)
-    )
-    return HsiCube(values), LabelRaster(labels)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        cube = HsiCube(spectra[labels - 1] + noise_sigma * rng.standard_normal(
+            (rows, cols, bands)))
+    if not np.isfinite(cube.values).all():
+        raise ConfigError(f"noise {noise_sigma} gives values beyond float32's range")
+    return cube, LabelRaster(labels)
 
 
 # -- splitting ----------------------------------------------------------------------
@@ -340,3 +344,17 @@ def scale_bands(cube: HsiCube) -> HsiCube:
     v -= lo
     v /= np.where(span > 0, span, 1.0)
     return HsiCube(v)
+
+
+def standardize(values: np.ndarray) -> np.ndarray:
+    """Each pixel's spectrum, the last axis, minus its mean over the square root
+    of its population variance plus 1e-5: the model's input before its gain and
+    bias. A pixel's result depends only on that pixel. The statistics run, in
+    place, on a C-ordered copy, since numpy sums a strided axis (a band-major
+    cube's) in another order."""
+    d = np.array(values, order="C")
+    d -= d.mean(axis=-1, keepdims=True)
+    # np.var's own subtract, square, sum and divide, with d computed once
+    var = np.mean(np.square(d), axis=-1, keepdims=True)
+    d *= 1.0 / np.sqrt(var + 1e-5)
+    return d

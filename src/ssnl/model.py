@@ -1,7 +1,8 @@
 """Bidirectional spectral-spatial classifier over hyperspectral patches.
 
-A patch is flattened to a sequence of per-pixel spectra, layer-normalized,
-and linearly projected twice. One projection runs through a depthwise 1-d
+A patch is flattened to a sequence of per-pixel spectra, each standardized
+(``data.standardize``) and scaled by a learned per-band gain and bias, and
+linearly projected twice. One projection runs through a depthwise 1-d
 convolution + activation in sequence order; the other runs through its own
 kernel in reversed sequence order. Each direction gets an additive learned
 modulation (a dense mix of softplus-positive per-channel deltas) inside a
@@ -24,19 +25,22 @@ last: the pixel sequence is (..., p*p, bands), its projections (..., p*p,
 hidden) and the spatial grid (..., p, p, bands), so per-channel biases and the
 delta modulation add by trailing broadcast, with no transposes.
 ``model_forward`` returns the class probabilities and the logits; a caller that
-needs an intermediate value calls the stage it comes from (``normalize_input``,
-``_spatial_pool``, ``_spectral_window``, ``_classify``).
+needs an intermediate value calls the stage it comes from (``_spatial_pool``,
+``_spectral_window``, ``_classify``).
 
 The model splits into a pixel stage and a window stage. The pixel stage is
-per pixel: layer norm, both projections, and the spatial conv's channel mix
-(``autodiff._channel_taps``, one GEMM to per-tap outputs). The window stage is
+per pixel: the standardized spectrum's gain and bias (``ad.affine``), both
+projections, and the spatial conv's channel mix (``autodiff._channel_taps``,
+one GEMM to per-tap outputs). The statistics are data, computed outside the
+graph: ``model_forward`` standardizes its raw windows, ``train`` the scene
+once, ``predict_pixels`` each band of the padded scene. The window stage is
 the rest: each direction's conv1d, activation, modulation, tanh and mean;
 the window-local tap sum (``autodiff._tap_sum``), bias, activation and pool;
-the classifier. ``model_forward`` (and so training) runs both on gathered
-windows, the conv's two steps inside ``ad.conv2d``, the pixel stage of both
-branches first. The graph holds neither the batch nor its layer norm (their
-gradients fold into the conv's and projections', see ``autodiff``), so both
-are let go before the window stages.
+the classifier. ``_forward`` (``model_forward``, and training) runs both on
+gathered windows, the conv's two steps inside ``ad.conv2d``, the pixel stage
+of both branches first. The graph holds no node of the batch or its affine
+(the gain's and bias's gradients fold into the conv's and projections', see
+``autodiff``), so the affine's output is let go before the window stages.
 ``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
 in fixed bands. Each per-cell chain of the window stage depends only on the
 pixel and on the cell's boundary class, which of its neighbours lie inside
@@ -67,7 +71,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import HsiCube, _pad_scene, seeded_rng
+from .data import HsiCube, _pad_scene, seeded_rng, standardize
 from .errors import (ConfigError, ContractError, FormatError, MagicError, NumericalError,
                      ShapeError, TruncatedError)
 
@@ -249,18 +253,6 @@ def _patch_array(patch, config: ModelConfig, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def normalize_input(patch, params: ModelParams, config: ModelConfig,
-                    eps: float = 1e-5) -> Tensor:
-    """Flatten each patch to a (p*p, bands) pixel sequence and layer-normalize
-    each pixel's spectrum with the model's gain/bias."""
-    arr = _patch_array(patch, config, params.dtype)
-    return _normalize(arr.reshape(arr.shape[:-3] + (-1, config.bands)), params, eps)
-
-
-def _normalize(spectra: np.ndarray, params: ModelParams, eps: float = 1e-5) -> Tensor:
-    return ad.layer_norm(Tensor(spectra), params.norm_gain, params.norm_bias, eps=eps)
-
-
 def _directions(params: ModelParams, config: ModelConfig) -> list[tuple[Tensor, Tensor, Tensor]]:
     """(projection, kernel, modulation) of each enabled direction; the
     modulation, (hidden,), is the direction's mix of the softplus deltas. The
@@ -311,14 +303,22 @@ def _classify(parts: list[Tensor], params: ModelParams,
 
 def model_forward(patch, params: ModelParams,
                   config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Full pass: normalize, spatial branch, bidirectional spectral block,
-    concatenation, one-hidden-layer classifier. ``patch`` is one
-    (p, p, bands) patch or a (batch, p, p, bands) stack; returns the softmax
-    probabilities and the logits, (classes,) or (batch, classes). The pixel stage
-    runs first; the batch and its layer norm, not in the graph, go before the rest."""
+    """Full pass on raw (band-scaled) input: ``patch`` is one (p, p, bands)
+    patch or a (batch, p, p, bands) stack, standardized here pixel by pixel
+    (``data.standardize``). Returns the softmax probabilities and the logits,
+    (classes,) or (batch, classes)."""
+    return _forward(standardize(_patch_array(patch, config, params.dtype)), params, config)
+
+
+def _forward(xhat: np.ndarray, params: ModelParams,
+             config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """``model_forward`` on standardized windows ``xhat``, ([batch,] p, p,
+    bands): gain and bias, spatial branch, bidirectional spectral block,
+    concatenation, one-hidden-layer classifier. The pixel stage runs first;
+    the affine's output, not in the graph, goes before the rest."""
     p = config.patch_size
-    x_norm = normalize_input(patch, params, config)
-    del patch
+    x_norm = ad.affine(xhat.reshape(xhat.shape[:-3] + (p * p, config.bands)),
+                       params.norm_gain, params.norm_bias)
     conv = ad.conv2d(ad.reshape(x_norm, x_norm.shape[:-2] + (p, p, config.bands)),
                      params.spatial_kernels) if config.spatial_on else None
     blocks = [(ad.matmul(x_norm, proj), kernel, modulation)
@@ -381,13 +381,14 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     so no pixel is in more than about two bands. Only bands that hold a
     requested pixel are computed.
 
-    Per band, the pixel stage (layer norm, both projections, the spatial
-    conv's per-tap channel mix) runs once per pixel. The window stage's
-    per-cell chains (the spatial tap sum, bias and activation; each
-    direction's sequence conv, activation, modulation and tanh) depend only
-    on the pixel and on the cell's boundary class, the neighbours that lie
-    inside its window, so they run once per (band pixel, class) into tables,
-    one class at a time, and one branch's tables are alive at a time. Both
+    Per band, the pixel stage (standardization, gain and bias, both
+    projections, the spatial conv's per-tap channel mix) runs once per
+    pixel. The window stage's per-cell chains (the spatial tap sum, bias and
+    activation; each direction's sequence conv, activation, modulation and
+    tanh) depend only on the pixel and on the cell's boundary class, the
+    neighbours that lie inside its window, so they run once per (band pixel,
+    class) into tables, one class at a time, and one branch's tables are
+    alive at a time. Both
     convolutions are one sum over the band plane of per-tap terms, shifted by
     each kept tap's flat plane offset: the spatial conv's per-tap channel mix,
     and each direction's projection times each kernel tap. A window then
@@ -428,7 +429,8 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                 continue
             top = first * chunk // cols
             bottom = (min((first + band) * chunk, ids.size) - 1) // cols + p
-            x_norm = _normalize(padded[top:bottom].reshape(-1, config.bands), params)
+            x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, config.bands)),
+                               params.norm_gain, params.norm_bias)
             runs = [np.arange(c * chunk, min((c + 1) * chunk, ids.size)) for c in band_chunks]
             cells = [((run // cols - top) * width + run % cols)[:, None] + corner for run in runs]
             parts = []

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, PixelWindows, SplitSpec
+from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, PixelWindows, SplitSpec, standardize
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .metrics import ConfusionMatrix
-from .model import ModelConfig, ModelParams, init_model, model_forward, predict_pixels
+from .model import ModelConfig, ModelParams, _forward, init_model, model_forward, predict_pixels
 
 
 @dataclass
@@ -162,11 +162,12 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     With augmentation on, sample s is training pixel s // 6 in variant s % 6
     of ``data._variant_cells`` (six samples per pixel); with it off, sample s
     is pixel s.
-    Each batch gathers its samples' windows from the padded scene, so no
-    stack of samples is built. Each epoch reshuffles the sample ids with a
-    (seed, epoch)-mixed generator; the last partial batch is kept. Returns the
-    trained parameters and a report holding per-epoch mean loss, per-epoch
-    as-trained accuracy, and the confusion matrix of the split's test pixels.
+    Each batch gathers its samples' windows from the padded scene,
+    standardized once (``data.standardize``), so no stack of samples is
+    built. Each epoch reshuffles the sample ids with a (seed, epoch)-mixed
+    generator; the last partial batch is kept. Returns the trained parameters
+    and a report holding per-epoch mean loss, per-epoch as-trained accuracy,
+    and the confusion matrix of the split's test pixels.
     """
     _check_raster(cube, labels)
     if len(split.train) == 0:
@@ -176,7 +177,8 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     report = TrainReport()
 
     start = time.perf_counter()
-    windows = PixelWindows(cube, split.train, model_config.patch_size)
+    windows = PixelWindows(HsiCube(standardize(cube.values)), split.train,
+                           model_config.patch_size)
     classes = labels.labels[split.train[:, 0], split.train[:, 1]]
     variants = AUGMENT_VARIANTS if train_config.augment else 1
     n = len(split.train) * variants
@@ -191,7 +193,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
             pixels, variant = np.divmod(order[lo:lo + train_config.batch_size], variants)
             batch_labels = classes[pixels]
             params.zero_grads()
-            probs, logits = model_forward(windows.gather(pixels, variant), params, model_config)
+            probs, logits = _forward(windows.gather(pixels, variant), params, model_config)
             batch_loss = cross_entropy(logits, batch_labels)
             correct += int((np.argmax(probs.data, axis=-1) + 1 == batch_labels).sum())
             batch_loss.backward()

@@ -7,6 +7,7 @@ import pytest
 
 from ssnl import autodiff as ad
 from ssnl.autodiff import Tensor
+from ssnl.data import standardize
 from ssnl.errors import ConfigError, ContractError, ShapeError
 
 
@@ -355,26 +356,22 @@ def test_conv2d_keeps_no_columns_for_backward():
     assert live < 2 * y.data.nbytes
 
 
-# -- layer norm ---------------------------------------------------------------------
+# -- the layer norm: data.standardize, then ad.affine --------------------------------
 
 
 def test_layer_norm_constant_input_is_zero():
-    n = 5
-    out = ad.layer_norm(Tensor(np.full(n, 3.7)), Tensor(np.ones(n)), Tensor(np.zeros(n)))
-    np.testing.assert_array_equal(out.data, np.zeros(n))
+    np.testing.assert_array_equal(standardize(np.full(5, 3.7)), np.zeros(5))
 
 
 def test_layer_norm_already_normalized():
+    # the statistics' eps is fixed at 1e-5, so unit variance reads 1/sqrt(1 + 1e-5)
     x = np.array([1.0, -1.0])
-    out = ad.layer_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14)
-    np.testing.assert_allclose(out.data, x, atol=1e-9)
+    np.testing.assert_array_equal(standardize(x), x / math.sqrt(1 + 1e-5))
 
 
 def test_layer_norm_direct_formula():
-    out = ad.layer_norm(
-        Tensor(np.array([0.0, 2.0])), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-14
-    )
-    np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-9)
+    out = ad.affine(standardize(np.array([0.0, 2.0])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    np.testing.assert_array_equal(out.data, np.array([-1.0, 1.0]) / math.sqrt(1 + 1e-5))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -385,17 +382,17 @@ def test_layer_norm_forward_is_bitwise_the_var_form(dtype):
     gain, bias = rng.standard_normal(24).astype(dtype), rng.standard_normal(24).astype(dtype)
     mu = x.mean(axis=-1, keepdims=True)
     want = ((x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))) * gain + bias
-    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    got = ad.affine(standardize(x), Tensor(gain), Tensor(bias)).data
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
 
 def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
-    # a layer norm of data (an input that needs no gradient) is left out of
-    # the graph: matmul, and conv2d through a reshape, take the gain's and
-    # bias's gradients from their weight gradients, and the input gets none.
-    # Folded, the gain, bias and weight gradients are the composed rule's
-    # (the same input needing a gradient) up to summation order
+    # an affine of data is left out of the graph: matmul, and conv2d through a
+    # reshape, take the gain's and bias's gradients from their weight
+    # gradients. Folded, the gain, bias and weight gradients are the composed
+    # rule's (the affine's output a graph node, its mark cleared) up to
+    # summation order
     rng = np.random.default_rng(22)
     bands = 7
     for p in (1, 5):
@@ -405,16 +402,16 @@ def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
                       rng.standard_normal((bands, 4)), rng.standard_normal((3, bands, k, k))]
             g_proj, g_conv = rng.standard_normal((2, p * p, 4)), rng.standard_normal((2, p, p, 3))
             grads = []
-            for needs in (True, False):
-                xt = Tensor(arrays[0], requires_grad=needs)
+            for composed in (True, False):
                 gain, bias, proj, kernels = (Tensor(a, requires_grad=True) for a in arrays[1:])
-                x_norm = ad.layer_norm(xt, gain, bias)
+                x_norm = ad.affine(standardize(arrays[0]), gain, bias)
+                if composed:
+                    x_norm._affine = None
                 grid = ad.reshape(x_norm, (2, p, p, bands))
                 loss = ad.add(_dot(ad.matmul(x_norm, proj), g_proj),
                               _dot(ad.conv2d(grid, kernels), g_conv))
-                assert any(node is x_norm for node in ad._reverse_topo(loss)) == needs
+                assert any(node is x_norm for node in ad._reverse_topo(loss)) == composed
                 loss.backward()
-                assert (xt.grad is not None) == needs
                 grads.append([gain.grad, bias.grad, proj.grad, kernels.grad])
             for composed, folded in zip(*grads):
                 assert np.abs(folded - composed).max() <= 1e-12 * np.abs(composed).max(), (p, k)
@@ -422,7 +419,7 @@ def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
 
 def test_layer_norm_gain_bias_shape_check():
     with pytest.raises(ShapeError):
-        ad.layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        ad.affine(np.zeros(4), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
 
 # -- activations -----------------------------------------------------------------
@@ -434,7 +431,7 @@ def test_activation_fixed_points():
 
 
 def test_tanh_asymptotes():
-    out = ad.tanh(Tensor(np.array([25.0, -25.0])))
+    out = ad.activation("tanh", Tensor(np.array([25.0, -25.0])))
     np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-9)
 
 
@@ -545,7 +542,7 @@ def test_backward_matches_finite_differences():
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
     def fn(w_, x_):
-        return _total(ad.tanh(ad.matmul(w_, x_)))
+        return _total(ad.activation("tanh", ad.matmul(w_, x_)))
 
     assert ad.grad_check(fn, [w, x], step=1e-6) < 1e-6
 
@@ -556,7 +553,7 @@ def test_backward_releases_interior_adjoints_only():
     def graph():
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-        hidden = ad.tanh(ad.matmul(x, w))
+        hidden = ad.activation("tanh", ad.matmul(x, w))
         return w, x, hidden, _total(ad.mean(ad.softmax(hidden), axis=(0, 1)))
 
     w, x, hidden, loss = graph()
@@ -622,7 +619,7 @@ def _weighted(rng):
     # central differences at h=1e-6 carry ~1e-10 absolute noise on a
     # loss of order 1, so the readout must keep every gradient coordinate
     # generically O(1): a random-signed weighted sum, never a plain sum
-    # (a plain sum is invariant to layer_norm inputs, for example);
+    # (a plain sum is invariant to a softmax's inputs, for example);
     # weights come from a pre-drawn pool so the readout is pure
     pool = rng.choice([-1.0, 1.0], size=4096) * rng.uniform(0.6, 1.4, 4096)
 
@@ -656,24 +653,32 @@ def _op_cases(rng):
         [Tensor(rng.standard_normal((h, w, 2)), requires_grad=True),
          Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)],
     )
-    # n >= 3 and row variance well away from eps: at n=2 the normalized
-    # output degenerates to +-1 (locally constant, true gradient ~eps) and in
-    # the var ~ eps region curvature swamps finite differences, even though
-    # the adjoint itself is exact
-    ln_n = int(rng.integers(3, 9))
-    spread = np.linspace(-1.5, 1.5, ln_n)[None, :]
-    yield "layer_norm", (
-        lambda x, g, b: read(ad.layer_norm(x, g, b)),
-        [Tensor(0.5 * rng.standard_normal((m, ln_n)) + spread, requires_grad=True),
-         Tensor(rng.uniform(0.5, 1.5, ln_n), requires_grad=True),
-         Tensor(rng.standard_normal(ln_n), requires_grad=True)],
+    # the model's first op, an affine of data, through both of its folding
+    # consumers on an (m, 1) plane: gain and bias get their gradients from the
+    # weight GEMMs. The weights come from a child generator, which leaves rng's
+    # stream where it is for the cases below
+    bands = int(rng.integers(3, 9))
+    xhat = rng.standard_normal((m, bands))
+    gain, bias = rng.uniform(0.5, 1.5, bands), rng.standard_normal(bands)
+    (child,) = rng.spawn(1)
+
+    def folded(g, b, proj, kk):
+        x_norm = ad.affine(xhat, g, b)
+        return ad.add(read(ad.matmul(x_norm, proj)),
+                      read(ad.conv2d(ad.reshape(x_norm, (m, 1, bands)), kk)))
+
+    yield "affine_fold", (
+        folded,
+        [Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True),
+         Tensor(child.standard_normal((bands, n)), requires_grad=True),
+         Tensor(child.standard_normal((3, bands, k, k)), requires_grad=True)],
     )
     yield "silu", (
-        lambda x: read(ad.silu(x)),
+        lambda x: read(ad.activation("silu", x)),
         [Tensor(rng.uniform(-0.9, 1.5, n), requires_grad=True)],
     )
     yield "tanh", (
-        lambda x: read(ad.tanh(x)),
+        lambda x: read(ad.activation("tanh", x)),
         [Tensor(rng.standard_normal(n) * 0.8, requires_grad=True)],
     )
     yield "softplus", (
@@ -852,10 +857,10 @@ def test_ops_keep_values_finite():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 5)) * 50
     for t in (
-        ad.silu(Tensor(x)),
-        ad.tanh(Tensor(x)),
+        ad.activation("silu", Tensor(x)),
+        ad.activation("tanh", Tensor(x)),
         ad.softplus(Tensor(x)),
-        ad.layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5))),
+        ad.affine(standardize(x), Tensor(np.ones(5)), Tensor(np.zeros(5))),
         ad.softmax(Tensor(x[0])),
     ):
         assert np.isfinite(t.data).all()
@@ -866,7 +871,7 @@ def test_determinism_same_graph_same_bits():
         rng = np.random.default_rng(16)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((4, 3)))
-        loss = _total(ad.tanh(ad.matmul(w, x)))
+        loss = _total(ad.activation("tanh", ad.matmul(w, x)))
         loss.backward()
         return loss.item(), w.grad.copy()
 

@@ -118,6 +118,18 @@ def test_synth_cube_header_echoes_bands(tmp_path):
     assert cube.read_bytes().startswith(b"HSICUBE1\n8 8 11\n")
 
 
+@pytest.mark.parametrize("noise", ["-1", "1e300"])
+def test_synth_refuses_a_noise_that_makes_no_readable_cube(tmp_path, capsys, noise):
+    # 1e300 overflows the float32 cube, which load_cube then refuses
+    argv, cube, labels = synth_args(tmp_path)
+    argv[argv.index("--noise") + 1] = noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("contract error: noise")
+    assert not cube.exists() and not labels.exists()
+
+
 # -- train --------------------------------------------------------------------------
 
 
@@ -403,6 +415,33 @@ def test_non_ascii_paths_print_escaped_to_an_ascii_stdout(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "\\xe9" in proc.stdout, command[0]
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_an_allocation_too_large_for_memory_is_contract_error(tmp_path, command):
+    # each asks for one 74.5 GiB array: a (100000, 100000) weight, or the
+    # label raster. The child's 16 GiB address-space cap refuses it before any
+    # page is touched, whatever the machine's overcommit policy
+    argv, cube, labels = synth_args(tmp_path)
+    assert main(argv) == 0
+    outputs = tmp_path / "out.ckpt", tmp_path / "out.txt"
+    if command == "train":
+        argv = train_args(cube, labels, *outputs, extra=["--set", "hidden_dim=100000"])
+    else:
+        argv = synth_args(tmp_path, rows=100000, cols=100000, bands=100000)[0]
+        for flag, path in zip(("--out-cube", "--out-labels"), outputs):
+            argv[argv.index(flag) + 1] = str(path)
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30)); "
+            "from ssnl.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("contract error: Unable to allocate 74.5 GiB")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not any(path.exists() for path in outputs)
 
 
 def test_map_does_not_import_numpy_ma(tmp_path):

@@ -19,6 +19,7 @@ from ssnl.data import (
     load_labels,
     scale_bands,
     split_samples,
+    standardize,
     synthesize_cube,
     write_cube,
     write_labels,
@@ -563,3 +564,14 @@ def test_scale_bands_range():
     cube = HsiCube(rng.standard_normal((6, 6, 8)) * 10)
     scaled = scale_bands(cube)
     assert scaled.values.min() >= 0.0 and scaled.values.max() <= 1.0
+
+
+def test_standardize_of_a_band_major_cube_is_bitwise_its_c_ordered_copy(tmp_path):
+    # load_cube returns a band-major view, and numpy sums its strided band
+    # axis in another order than a C-ordered array's: training reads the
+    # scene's pixels, inference the padded scene's, and the two must agree
+    rng = np.random.default_rng(13)
+    write_cube(tmp_path / "scene.cube", HsiCube(rng.random((6, 5, 103)) * 50))
+    view = load_cube(tmp_path / "scene.cube").values
+    assert not view.flags.c_contiguous
+    assert standardize(view).tobytes() == standardize(np.ascontiguousarray(view)).tobytes()

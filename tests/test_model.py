@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ssnl import autodiff as ad
 from ssnl import model as model_module
 from ssnl.autodiff import Tensor
-from ssnl.data import HsiCube, _pad_scene, extract_window
+from ssnl.data import HsiCube, _pad_scene, extract_window, standardize
 from ssnl.errors import ConfigError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
@@ -22,7 +22,6 @@ from ssnl.model import (
     init_model,
     load_model,
     model_forward,
-    normalize_input,
     predict_pixels,
     save_model,
 )
@@ -124,19 +123,24 @@ def test_init_shapes_match_contract():
 # -- normalize / project / reverse -----------------------------------------------------
 
 
+def _first_op(patch, params):
+    # the model's layer norm at init: standardized pixels, gain ones, bias zeros
+    return ad.affine(standardize(patch), params.norm_gain, params.norm_bias)
+
+
 def test_normalize_constant_spectrum_pixel_is_zero():
     cfg = small_config()
     params = init_model(cfg, seed=0, dtype=np.float64)
-    patch = np.ones((3, 3, 6))
-    out = normalize_input(patch, params, cfg)
-    np.testing.assert_array_equal(out.data, np.zeros((9, 6)))
+    out = _first_op(np.ones((3, 3, 6)), params)
+    np.testing.assert_array_equal(out.data, np.zeros((3, 3, 6)))
 
 
 def test_normalize_output_shape():
-    cfg = small_config(patch_size=5)
-    params = init_model(cfg, seed=0)
-    out = normalize_input(random_patch(cfg), params, cfg)
-    assert out.shape == (25, 6)
+    # standardize keeps the shape and the dtype: a float32 scene stays float32
+    patch = random_patch(small_config(patch_size=5))
+    for dtype in (np.float32, np.float64):
+        out = standardize(patch.astype(dtype))
+        assert out.shape == (5, 5, 6) and out.dtype == dtype
 
 
 def test_normalize_reads_a_batch_of_the_model_dtype_without_copying(monkeypatch):
@@ -144,18 +148,18 @@ def test_normalize_reads_a_batch_of_the_model_dtype_without_copying(monkeypatch)
     params = init_model(cfg, seed=0)
     batch = np.random.default_rng(3).standard_normal((4, 3, 3, 6)).astype(params.dtype)
     seen = []
-    layer_norm = ad.layer_norm
-    monkeypatch.setattr(ad, "layer_norm", lambda x, *a, **kw: seen.append(x) or layer_norm(x, *a, **kw))
-    normalize_input(batch, params, cfg)
-    assert np.shares_memory(seen[0].data, batch)
+    monkeypatch.setattr(model_module, "standardize",
+                        lambda x: seen.append(x) or standardize(x))
+    model_forward(batch, params, cfg)
+    assert np.shares_memory(seen[0], batch)
 
 
 def test_normalize_two_band_formula():
     cfg = ModelConfig(bands=2, num_classes=2, patch_size=1, hidden_dim=2,
                       spatial_channels=2, classifier_hidden=2, spatial_kernel=1)
     params = init_model(cfg, seed=0, dtype=np.float64)
-    out = normalize_input(np.array([[[0.0, 2.0]]]), params, cfg, eps=1e-14)
-    np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+    out = _first_op(np.array([[[0.0, 2.0]]]), params)
+    np.testing.assert_array_equal(out.data, np.array([[[-1.0, 1.0]]]) / math.sqrt(1 + 1e-5))
 
 
 def _quiet_modulation(params):
@@ -433,7 +437,7 @@ def test_forward_trace_shapes():
     assert probs.shape == logits.shape == (3,)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
     np.testing.assert_array_equal(probs.data, ad.softmax(logits).data)
-    x_norm = normalize_input(patch, params, cfg)
+    x_norm = ad.reshape(_first_op(patch, params), (9, 6))
     assert _spectral(x_norm, params, cfg).shape == (4,)
     grid = Tensor(x_norm.data.reshape(3, 3, 6))
     assert _spatial(grid, params, cfg).shape == (3,)
@@ -598,13 +602,9 @@ def test_predict_pixels_normalizes_each_padded_pixel_about_once(monkeypatch):
     cfg = small_config(patch_size=p)
     params = init_model(cfg, seed=51)
     cube = HsiCube(np.random.default_rng(52).random((rows, cols, cfg.bands)))
-    normalized, layer_norm = [], ad.layer_norm
-
-    def counting(x, *args, **kwargs):
-        normalized.append(x.size // x.shape[-1])
-        return layer_norm(x, *args, **kwargs)
-
-    monkeypatch.setattr(ad, "layer_norm", counting)
+    normalized = []
+    _counting(monkeypatch, "affine",
+              lambda xhat, *_: normalized.append(xhat.size // xhat.shape[-1]))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     band = model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
     bands = -(-rows * cols // band)
@@ -669,7 +669,8 @@ def _per_window_stage(cube, params, cfg):
         for first in range(0, runs, band):
             top = first * chunk // cols
             bottom = (min((first + band) * chunk, pixels) - 1) // cols + p
-            x_norm = model_module._normalize(padded[top:bottom].reshape(-1, cfg.bands), params)
+            x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, cfg.bands)),
+                               params.norm_gain, params.norm_bias)
             projected = [(ad.matmul(x_norm, proj), kernel, modulation)
                          for proj, kernel, modulation in directions]
             taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
@@ -739,8 +740,8 @@ def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(mon
     params = init_model(cfg, seed=53)
     cube = HsiCube(np.random.default_rng(54).random((rows, cols, cfg.bands)))
     band_pixels, elements = [], []
-    _counting(monkeypatch, "layer_norm",
-              lambda x, *_, **__: band_pixels.append(x.size // x.shape[-1]))
+    _counting(monkeypatch, "affine",
+              lambda xhat, *_: band_pixels.append(xhat.size // xhat.shape[-1]))
     _counting(monkeypatch, "activation", lambda kind, x: elements.append(x.size))
     _counting(monkeypatch, "_cell_state", lambda kind, x, b, tanh_after:
               elements.append(x.size * (2 if tanh_after else 1)))
@@ -760,8 +761,8 @@ def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
     params = init_model(cfg, seed=55)
     cube = HsiCube(np.random.default_rng(56).random((rows, cols, cfg.bands)))
     band_pixels = []
-    _counting(monkeypatch, "layer_norm",
-              lambda x, *_, **__: band_pixels.append(x.size // x.shape[-1]))
+    _counting(monkeypatch, "affine",
+              lambda xhat, *_: band_pixels.append(xhat.size // xhat.shape[-1]))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     assert sum(band_pixels) <= 2.2 * (rows + p - 1) * (cols + p - 1)
 

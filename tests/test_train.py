@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssnl.autodiff import Tensor
-from ssnl.data import extract_window, split_samples, synthesize_cube
+from ssnl.data import extract_window, split_samples, standardize, synthesize_cube
 from ssnl.errors import ConfigError, ContractError, NumericalError
 from ssnl.metrics import overall_accuracy
 from ssnl.model import ModelConfig, init_model
@@ -193,7 +193,7 @@ def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
     # a batch's graph holds its activations and conv buffers; kept through the
     # next forward pass, it doubled the graph memory at training's peak
     train_module = importlib.import_module("ssnl.train")  # ssnl.train is the function
-    forward, logits_seen = train_module.model_forward, []
+    forward, logits_seen = train_module._forward, []
 
     def recording_forward(*args):
         assert all(ref() is None for ref in logits_seen)
@@ -201,7 +201,7 @@ def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
         logits_seen.append(weakref.ref(logits.data))
         return probs, logits
 
-    monkeypatch.setattr(train_module, "model_forward", recording_forward)
+    monkeypatch.setattr(train_module, "_forward", recording_forward)
     cube, labels, split = tiny_task()
     tc = TrainConfig(epochs=2, seed=9, augment=False, batch_size=4)
     train(cube, labels, split, tiny_model_config(), tc)
@@ -211,10 +211,12 @@ def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
 @pytest.mark.parametrize("use_augment", [True, False], ids=["augment", "plain"])
 def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
     # record every batch training sees, then put the samples back in id order:
-    # epoch 0's batches are the sample ids in the order of its permutation
+    # epoch 0's batches are the sample ids in the order of its permutation.
+    # Each is bitwise its window standardized alone: a pixel's statistics do
+    # not depend on the scene around it
     train_module = importlib.import_module("ssnl.train")
     seen_windows, seen_labels = [], []
-    forward, loss = train_module.model_forward, train_module.cross_entropy
+    forward, loss = train_module._forward, train_module.cross_entropy
 
     def recording_forward(windows, *args):
         seen_windows.append(windows.copy())
@@ -224,7 +226,7 @@ def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
         seen_labels.append(np.array(labels))
         return loss(logits, labels)
 
-    monkeypatch.setattr(train_module, "model_forward", recording_forward)
+    monkeypatch.setattr(train_module, "_forward", recording_forward)
     monkeypatch.setattr(train_module, "cross_entropy", recording_loss)
     cube, labels, split = tiny_task()
     tc = TrainConfig(epochs=1, seed=5, augment=use_augment, batch_size=7)
@@ -240,7 +242,7 @@ def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
         row, col = split.train[s // variants]
         window = extract_window(cube, row, col, 3)
         expected = _oracle_variants(window)[s % 6] if use_augment else window
-        np.testing.assert_array_equal(samples[s], expected)
+        assert samples[s].tobytes() == standardize(expected).tobytes(), s
         assert sample_labels[s] == labels.labels[row, col]
 
 

@@ -36,9 +36,9 @@ scales data ``xhat`` (the standardized input) by a learned ``gain`` and
 input gradient, and take both gradients from their weight-gradient GEMM
 ``M = xhat.T @ g`` and the row sums ``s`` of ``g``, with W (in, out):
 ``dW = gain * M + bias * s``, ``d gain = (W * M).sum(1)``, ``d bias = W @ s``
-(``_fold``). An activation's slope is written once (``_slope``), for
-``activation`` and the model's per-cell chains, each one node
-(``_cell_state``).
+(``_fold``). ``activation`` is the one nonlinear op: a bias, silu or tanh,
+and optionally a tanh on top, as one node; every chain of the model is one.
+``softmax`` is a function of data, not a node.
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -415,24 +415,15 @@ def _slope(kind: str, d: np.ndarray | None, out: np.ndarray | None = None) -> np
     return 1.0 - t * t
 
 
-def activation(kind: str, x) -> Tensor:
-    """Apply the named elementwise nonlinearity (``silu`` or ``tanh``)."""
+def activation(kind: str, x, b, tanh_after: bool = False) -> Tensor:
+    """The named nonlinearity (``silu`` or ``tanh``) with a bias ``b`` over
+    the trailing axes, as one node: ``act(x + b)``, or ``tanh(act(x) + b)``
+    with ``tanh_after``. It keeps only ``x`` and its output, and backward
+    recomputes the slope."""
     if kind not in ("silu", "tanh"):
         raise ConfigError(f"unknown activation kind {kind!r}; expected silu or tanh")
-    x = _coerce(x)
-    out_data = _act(kind, x.data)
-
-    def backprop(g):
-        _accum(x, g * _slope(kind, x.data, out_data))
-
-    return _make(out_data, (x,), backprop)
-
-
-def _cell_state(kind: str, x, b, tanh_after: bool) -> Tensor:
-    """One node for a per-cell chain: ``act(x + b)``, or ``tanh(act(x) + b)`` with
-    ``tanh_after``. Values and gradients are bitwise those of the composed ops;
-    it keeps only ``x`` and its output, and backward recomputes the slope."""
     x, b = _coerce(x), _coerce(b)
+    _check_trailing("activation", x, b)
     out_data = np.tanh(_act(kind, x.data) + b.data) if tanh_after else _act(kind, x.data + b.data)
 
     def backprop(g):
@@ -456,18 +447,11 @@ def softplus(x) -> Tensor:
     return _make(out_data, (x,), backprop)
 
 
-def softmax(x) -> Tensor:
-    """Exp-normalize the last axis via max subtraction; each row sums to one."""
-    x = _coerce(x)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"softmax expects a non-empty last axis, got shape {x.shape}")
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def backprop(g):
-        _accum(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-
-    return _make(p, (x,), backprop)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Exp-normalize the last axis of data via max subtraction; each row sums
+    to one. Not a graph node: training differentiates ``cross_entropy``."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits, targets) -> Tensor:

@@ -12,15 +12,16 @@ repeated ``--set key=value`` flags, and the dedicated flags. A dedicated flag
 parser. Unknown keys are rejected; the resolved configuration is echoed into
 outputs for provenance.
 
-Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 contract/shape
-(an allocation the machine refuses, such as a model or scene too large for
-memory, included), 4 numerical failure.
+Exit codes: 0 success, 1 usage (two outputs naming one file too), 2 I/O or
+file format, 3 contract/shape (an allocation refused for want of memory too),
+4 numerical failure; a failed command leaves none of its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -163,12 +164,33 @@ def _load_scene(path, bands: int | None):
     return cube
 
 
+class _Outputs:
+    """A command's output paths, refused (UsageError) before its work if two
+    are one file. ``write`` writes them in order; if one fails, it removes the
+    regular files begun (not a FIFO, a device or a file open() refused)."""
+
+    def __init__(self, *paths):
+        self.paths, self.files = paths, [os.path.realpath(p) for p in paths]
+        if len(set(self.files)) < len(paths):
+            raise UsageError(f"two outputs are one file: {' '.join(paths)}")
+
+    def write(self, *writers):
+        for i, (path, write) in enumerate(zip(self.paths, writers)):
+            try:
+                write(path)
+            except BaseException as exc:  # open() names its file: nothing was written there
+                for file in self.files[:i + (getattr(exc, "filename", None) is None)]:
+                    if os.path.isfile(file):
+                        os.remove(file)
+                raise
+
+
 def cmd_synth(args) -> int:
+    outputs = _Outputs(args.out_cube, args.out_labels)
     cube, labels = synthesize_cube(
         args.rows, args.cols, args.bands, args.classes, args.noise, args.seed
     )
-    write_cube(args.out_cube, cube)
-    write_labels(args.out_labels, labels)
+    outputs.write(lambda path: write_cube(path, cube), lambda path: write_labels(path, labels))
     print(
         f"synth rows={args.rows} cols={args.cols} bands={args.bands} "
         f"classes={args.classes} noise={args.noise} seed={args.seed} "
@@ -178,6 +200,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    outputs = _Outputs(args.out_model, args.out_report)
     run = _resolve_run_config(args)
     cube = _load_scene(args.cube, run.bands)
     labels = load_labels(args.labels)
@@ -190,16 +213,9 @@ def cmd_train(args) -> int:
         cube, labels, split, run.model_config(), run.train_config(),
         verbose=args.verbose,
     )
-    echo = run.echo_lines(cube=args.cube, labels=args.labels)
-    # the report opens first and goes if the checkpoint fails: a failed run leaves neither
-    with open(args.out_report, "w", encoding="ascii", errors="backslashreplace") as fh:
-        try:
-            save_model(args.out_model, params, run.model_config())
-        except OSError:
-            fh.close()
-            Path(args.out_report).unlink()
-            raise
-        fh.write(serialize_report(report, echo))
+    text = serialize_report(report, run.echo_lines(cube=args.cube, labels=args.labels))
+    outputs.write(lambda path: save_model(path, params, run.model_config()),
+                  lambda path: Path(path).write_text(text, "ascii", "backslashreplace"))
     oa = np.trace(report.confusion.counts) / max(1, report.confusion.total)
     print(
         f"train epochs={report.epochs_run} final_loss={report.losses[-1]:.6f} "
@@ -229,7 +245,7 @@ def cmd_map(args) -> int:
     ids = predict_pixels(cube, pixels, params, config).reshape(cube.rows, cube.cols)
     image = render_class_map(ids, config.num_classes)
     comment = f"cube={args.cube} model={args.model} classes={config.num_classes}"
-    write_ppm(args.out_image, image, comment=comment)
+    _Outputs(args.out_image).write(lambda path: write_ppm(path, image, comment=comment))
     print(f"map {cube.rows}x{cube.cols} classes={config.num_classes} "
           f"image={args.out_image}")
     return 0

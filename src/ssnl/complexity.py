@@ -55,7 +55,7 @@ def elementwise_per_patch(config: ModelConfig) -> int:
     adds, delta map) at 1 unit per element."""
     ch, d, p = config.bands, config.hidden_dim, config.patch_size
     length = p * p
-    total = length * ch                      # layer norm
+    total = length * ch                      # standardization + gain and bias
     for enabled in (config.forward_on, config.backward_on):
         if enabled:
             total += 2 * d * length          # conv activation + tanh update

@@ -274,8 +274,8 @@ def _spectral_window(blocks: list[tuple[Tensor, Tensor, Tensor]], config: ModelC
     goes through a depthwise conv over the sequence, the state chain
     (activation, additive delta modulation, tanh: one graph node) and a mean
     over the sequence; the means are summed."""
-    means = [ad.mean(ad._cell_state(config.activation, ad.conv1d(z, kernel), modulation,
-                                    tanh_after=True), axis=-2)
+    means = [ad.mean(ad.activation(config.activation, ad.conv1d(z, kernel), modulation,
+                                   tanh_after=True), axis=-2)
              for z, kernel, modulation in blocks]
     return means[0] if len(means) == 1 else ad.add(*means)
 
@@ -284,7 +284,7 @@ def _spatial_pool(conv: Tensor, params: ModelParams, config: ModelConfig) -> Ten
     """Window stage of the spatial branch after the convolution: bias and
     activation (one graph node), then global average pooling of (..., p, p,
     channels)."""
-    state = ad._cell_state(config.activation, conv, params.spatial_bias, tanh_after=False)
+    state = ad.activation(config.activation, conv, params.spatial_bias)
     return ad.mean(state, axis=(-3, -2))
 
 
@@ -292,13 +292,12 @@ def _classify(parts: list[Tensor], params: ModelParams,
               config: ModelConfig) -> tuple[Tensor, Tensor]:
     """The classifier on the concatenated descriptors: probabilities, logits."""
     h_final = parts[0] if len(parts) == 1 else ad.concat(parts)
-    hidden = ad.activation(
-        config.activation,
-        ad.add(ad.matmul(h_final, ad.transpose(params.classifier_w1)), params.classifier_b1),
-    )
+    hidden = ad.activation(config.activation,
+                           ad.matmul(h_final, ad.transpose(params.classifier_w1)),
+                           params.classifier_b1)
     logits = ad.add(ad.matmul(hidden, ad.transpose(params.classifier_w2)),
                     params.classifier_b2)
-    return ad.softmax(logits), logits
+    return Tensor(ad.softmax(logits.data)), logits
 
 
 def model_forward(patch, params: ModelParams,
@@ -356,7 +355,7 @@ def _class_means(classes, terms, cells: list[np.ndarray], kind: str, b: Tensor,
     """Each run's window means of one branch. Per class of ``classes``, each
     plane pixel sums, from zeros in tap order, ``terms[m]`` (plane pixels,
     channels) at its key's offset of tap m, skipping None; the branch's state
-    chain, ``ad._cell_state(kind, sum, b, tanh_after)``, fills the class's
+    chain, ``ad.activation(kind, sum, b, tanh_after)``, fills the class's
     slot of one stack, and a window gathers every cell from its class's slot."""
     cell_class, keys = classes
     n = terms[0].shape[0]
@@ -366,7 +365,7 @@ def _class_means(classes, terms, cells: list[np.ndarray], kind: str, b: Tensor,
             if offset is not None:
                 lo, hi = max(-offset, 0), n - max(offset, 0)
                 slot[lo:hi] += term[lo + offset:hi + offset]
-        slot[...] = ad._cell_state(kind, Tensor(slot), b, tanh_after).data
+        slot[...] = ad.activation(kind, Tensor(slot), b, tanh_after).data
     rows = stack.reshape(-1, stack.shape[-1])
     return [ad.mean(Tensor(rows[cell_class * n + run_cells]), axis=-2) for run_cells in cells]
 

@@ -426,18 +426,25 @@ def test_layer_norm_gain_bias_shape_check():
 
 
 def test_activation_fixed_points():
-    assert ad.activation("tanh", Tensor(np.array(0.0))).item() == 0.0
-    assert ad.activation("silu", Tensor(np.array(0.0))).item() == 0.0
+    assert ad.activation("tanh", Tensor(np.array(0.0)), 0.0).item() == 0.0
+    assert ad.activation("silu", Tensor(np.array(0.0)), 0.0).item() == 0.0
+    for kind in ("silu", "tanh"):
+        assert ad.activation(kind, Tensor(np.array(0.0)), 0.0, tanh_after=True).item() == 0.0
 
 
 def test_tanh_asymptotes():
-    out = ad.activation("tanh", Tensor(np.array([25.0, -25.0])))
+    out = ad.activation("tanh", Tensor(np.array([25.0, -25.0])), np.zeros(2))
     np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-9)
 
 
 def test_activation_unknown_kind():
     with pytest.raises(ConfigError):
-        ad.activation("relu", Tensor(np.zeros(2)))
+        ad.activation("relu", Tensor(np.zeros(2)), np.zeros(2))
+
+
+def test_activation_bias_must_be_the_trailing_axes():
+    with pytest.raises(ShapeError):
+        ad.activation("silu", Tensor(np.zeros((3, 1))), np.zeros(4))
 
 
 def test_softplus_positive_and_stable():
@@ -481,28 +488,28 @@ def test_softplus_gradient_is_bitwise_the_sigmoid(dtype):
 
 
 def test_softmax_uniform_on_constant():
-    out = ad.softmax(Tensor(np.full(4, 2.5)))
-    np.testing.assert_allclose(out.data, np.full(4, 0.25), atol=1e-15)
+    out = ad.softmax(np.full(4, 2.5))
+    np.testing.assert_allclose(out, np.full(4, 0.25), atol=1e-15)
 
 
 def test_softmax_direct_formula():
-    out = ad.softmax(Tensor(np.array([0.0, math.log(3.0)])))
-    np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
+    out = ad.softmax(np.array([0.0, math.log(3.0)]))
+    np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(6)
-    a = ad.softmax(Tensor(x))
-    b = ad.softmax(Tensor(x + 17.5))
-    np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+    a = ad.softmax(x)
+    b = ad.softmax(x + 17.5)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_softmax_positive_and_sums_to_one():
     rng = np.random.default_rng(12)
     for _ in range(50):
         x = rng.standard_normal(int(rng.integers(1, 9))) * 10
-        p = ad.softmax(Tensor(x)).data
+        p = ad.softmax(x)
         assert (p > 0).all()
         assert abs(p.sum() - 1.0) < 1e-12
 
@@ -542,7 +549,7 @@ def test_backward_matches_finite_differences():
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
     def fn(w_, x_):
-        return _total(ad.activation("tanh", ad.matmul(w_, x_)))
+        return _total(ad.activation("tanh", ad.matmul(w_, x_), np.zeros(2)))
 
     assert ad.grad_check(fn, [w, x], step=1e-6) < 1e-6
 
@@ -553,8 +560,8 @@ def test_backward_releases_interior_adjoints_only():
     def graph():
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-        hidden = ad.activation("tanh", ad.matmul(x, w))
-        return w, x, hidden, _total(ad.mean(ad.softmax(hidden), axis=(0, 1)))
+        hidden = ad.activation("tanh", ad.matmul(x, w), np.zeros(3))
+        return w, x, hidden, _total(ad.mean(ad.softplus(hidden), axis=(0, 1)))
 
     w, x, hidden, loss = graph()
     loss.backward()
@@ -629,117 +636,96 @@ def _weighted(rng):
     return readout
 
 
-def _op_cases(rng):
-    read = _weighted(rng)
-    c = int(rng.integers(1, 5))
-    length = int(rng.integers(1, 9))
-    n = int(rng.integers(2, 9))
-    m = int(rng.integers(1, 5))
-    h = int(rng.integers(1, 6))
-    w = int(rng.integers(1, 6))
-    k = int(rng.choice([1, 3]))
-    yield "matmul", (
-        lambda a, b: read(ad.matmul(a, b)),
-        [Tensor(rng.standard_normal((m, c)), requires_grad=True),
-         Tensor(rng.standard_normal((c, n)), requires_grad=True)],
-    )
-    yield "conv1d", (
-        lambda x, kk: read(ad.conv1d(x, kk)),
-        [Tensor(rng.standard_normal((length, c)), requires_grad=True),
-         Tensor(rng.standard_normal((c, k)), requires_grad=True)],
-    )
-    yield "conv2d", (
-        lambda x, kk: read(ad.conv2d(x, kk)),
-        [Tensor(rng.standard_normal((h, w, 2)), requires_grad=True),
-         Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)],
-    )
+class _Case:
+    """One finite-difference case's generator, seeded from (seed, case name),
+    so adding or removing a case leaves every other case's inputs as they
+    were; its readout, its sizes and its leaves."""
+
+    def __init__(self, seed, name):
+        self.rng = rng = np.random.default_rng([seed, int.from_bytes(name.encode(), "little")])
+        self.read = _weighted(rng)
+        self.c, self.length, self.n, self.m, self.h, self.w = (
+            int(rng.integers(lo, hi)) for lo, hi in ((1, 5), (1, 9), (2, 9), (1, 5), (1, 6), (1, 6)))
+        self.k = int(rng.choice([1, 3]))
+
+    def leaf(self, *shape, scale=1.0):
+        return Tensor(self.rng.standard_normal(shape) * scale, requires_grad=True)
+
+    def uniform(self, lo, hi, *shape):
+        return Tensor(self.rng.uniform(lo, hi, shape), requires_grad=True)
+
+
+def _folded(d):
     # the model's first op, an affine of data, through both of its folding
-    # consumers on an (m, 1) plane: gain and bias get their gradients from the
-    # weight GEMMs. The weights come from a child generator, which leaves rng's
-    # stream where it is for the cases below
-    bands = int(rng.integers(3, 9))
-    xhat = rng.standard_normal((m, bands))
-    gain, bias = rng.uniform(0.5, 1.5, bands), rng.standard_normal(bands)
-    (child,) = rng.spawn(1)
+    # consumers on an (m, 1) plane: gain and bias get their gradients from
+    # the weight GEMMs
+    bands = int(d.rng.integers(3, 9))
+    xhat = d.rng.standard_normal((d.m, bands))
 
-    def folded(g, b, proj, kk):
+    def fn(g, b, proj, kk):
         x_norm = ad.affine(xhat, g, b)
-        return ad.add(read(ad.matmul(x_norm, proj)),
-                      read(ad.conv2d(ad.reshape(x_norm, (m, 1, bands)), kk)))
+        return ad.add(d.read(ad.matmul(x_norm, proj)),
+                      d.read(ad.conv2d(ad.reshape(x_norm, (d.m, 1, bands)), kk)))
 
-    yield "affine_fold", (
-        folded,
-        [Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True),
-         Tensor(child.standard_normal((bands, n)), requires_grad=True),
-         Tensor(child.standard_normal((3, bands, k, k)), requires_grad=True)],
-    )
-    yield "silu", (
-        lambda x: read(ad.activation("silu", x)),
-        [Tensor(rng.uniform(-0.9, 1.5, n), requires_grad=True)],
-    )
-    yield "tanh", (
-        lambda x: read(ad.activation("tanh", x)),
-        [Tensor(rng.standard_normal(n) * 0.8, requires_grad=True)],
-    )
-    yield "softplus", (
-        lambda x: read(ad.softplus(x)),
-        [Tensor(rng.standard_normal(n), requires_grad=True)],
-    )
-    yield "softmax", (
-        lambda x: read(ad.softmax(x)),
-        [Tensor(rng.standard_normal(n), requires_grad=True)],
-    )
-    yield "mean", (
-        lambda x: read(ad.mean(x, axis=0)),
-        [Tensor(rng.standard_normal((m, n)), requires_grad=True)],
-    )
-    yield "flip_concat", (
-        lambda a, b: read(ad.concat([ad.flip(a, 0), b])),
-        [Tensor(rng.standard_normal(n), requires_grad=True),
-         Tensor(rng.standard_normal(m), requires_grad=True)],
-    )
+    return fn, [d.uniform(0.5, 1.5, bands), d.leaf(bands), d.leaf(bands, d.n),
+                d.leaf(3, bands, d.k, d.k)]
+
+
+def _activation_case(kind, tanh_after, batched):
+    # the model's one nonlinear op, its (n,) bias a leaf, on (n,) or (2, m, n).
+    # silu's inputs keep clear of its slope's zero near -1.28, where a
+    # relative error has no scale
+    def case(d):
+        shape = (2, d.m, d.n) if batched else (d.n,)
+        if kind == "silu":
+            x, b = d.uniform(-0.5, 1.0, *shape), d.uniform(-0.4, 0.5, d.n)
+        else:
+            x, b = d.leaf(*shape, scale=0.6), d.leaf(d.n, scale=0.6)
+        return (lambda x_, b_: d.read(ad.activation(kind, x_, b_, tanh_after)), [x, b])
+
+    return case
+
+
+def _cross_entropy_case(d):
+    targets = d.rng.integers(d.n, size=d.m)
+    return (lambda x: ad.cross_entropy(x, targets)), [d.leaf(d.m, d.n)]
+
+
+_OP_CASES = {
+    "matmul": lambda d: (lambda a, b: d.read(ad.matmul(a, b)),
+                         [d.leaf(d.m, d.c), d.leaf(d.c, d.n)]),
+    "conv1d": lambda d: (lambda x, kk: d.read(ad.conv1d(x, kk)),
+                         [d.leaf(d.length, d.c), d.leaf(d.c, d.k)]),
+    "conv2d": lambda d: (lambda x, kk: d.read(ad.conv2d(x, kk)),
+                         [d.leaf(d.h, d.w, 2), d.leaf(3, 2, d.k, d.k)]),
+    "affine_fold": _folded,
+    **{f"{kind}{'_tanh_after' if after else ''}{'_batched' if batched else ''}":
+       _activation_case(kind, after, batched)
+       for kind in ("silu", "tanh") for after in (False, True) for batched in (False, True)},
+    "softplus": lambda d: (lambda x: d.read(ad.softplus(x)), [d.leaf(d.n)]),
+    "mean": lambda d: (lambda x: d.read(ad.mean(x, axis=0)), [d.leaf(d.m, d.n)]),
+    "flip_concat": lambda d: (lambda a, b: d.read(ad.concat([ad.flip(a, 0), b])),
+                              [d.leaf(d.n), d.leaf(d.m)]),
     # batch-first forms: leading axes carried through every op
-    targets = rng.integers(n, size=m)
-    yield "cross_entropy", (
-        lambda x: ad.cross_entropy(x, targets),
-        [Tensor(rng.standard_normal((m, n)), requires_grad=True)],
-    )
-    yield "batched_matmul", (
-        lambda a, b: read(ad.matmul(a, b)),
-        [Tensor(rng.standard_normal((2, m, c)), requires_grad=True),
-         Tensor(rng.standard_normal((c, n)), requires_grad=True)],
-    )
-    yield "batched_conv1d", (
-        lambda x, kk: read(ad.conv1d(x, kk)),
-        [Tensor(rng.standard_normal((2, length, c)), requires_grad=True),
-         Tensor(rng.standard_normal((c, k)), requires_grad=True)],
-    )
-    yield "batched_conv2d", (
-        lambda x, kk: read(ad.conv2d(x, kk)),
-        [Tensor(rng.standard_normal((2, h, w, 2)), requires_grad=True),
-         Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)],
-    )
-    yield "batched_softmax", (
-        lambda x: read(ad.softmax(x)),
-        [Tensor(rng.standard_normal((m, n)), requires_grad=True)],
-    )
-    yield "bias_add", (
-        lambda x, b: read(ad.add(x, b)),
-        [Tensor(rng.standard_normal((2, m, n)), requires_grad=True),
-         Tensor(rng.standard_normal(n), requires_grad=True)],
-    )
-    yield "batched_mean_concat", (
-        lambda a, b: read(ad.concat([ad.mean(a, axis=(-2, -1)), b])),
-        [Tensor(rng.standard_normal((m, 3, h, w)), requires_grad=True),
-         Tensor(rng.standard_normal((m, 2)), requires_grad=True)],
-    )
+    "cross_entropy": _cross_entropy_case,
+    "batched_matmul": lambda d: (lambda a, b: d.read(ad.matmul(a, b)),
+                                 [d.leaf(2, d.m, d.c), d.leaf(d.c, d.n)]),
+    "batched_conv1d": lambda d: (lambda x, kk: d.read(ad.conv1d(x, kk)),
+                                 [d.leaf(2, d.length, d.c), d.leaf(d.c, d.k)]),
+    "batched_conv2d": lambda d: (lambda x, kk: d.read(ad.conv2d(x, kk)),
+                                 [d.leaf(2, d.h, d.w, 2), d.leaf(3, 2, d.k, d.k)]),
+    "bias_add": lambda d: (lambda x, b: d.read(ad.add(x, b)), [d.leaf(2, d.m, d.n), d.leaf(d.n)]),
+    "batched_mean_concat": lambda d: (
+        lambda a, b: d.read(ad.concat([ad.mean(a, axis=(-2, -1)), b])),
+        [d.leaf(d.m, 3, d.h, d.w), d.leaf(d.m, 2)]),
+}
 
 
 def test_every_op_matches_finite_differences_across_seeds():
     failures = []
     for seed in range(100):
-        rng = np.random.default_rng(1000 + seed)
-        for name, (fn, inputs) in _op_cases(rng):
+        for name, case in _OP_CASES.items():
+            fn, inputs = case(_Case(1000 + seed, name))
             err = ad.grad_check(fn, inputs, step=1e-6)
             if err >= 1e-5:
                 failures.append((seed, name, err))
@@ -857,11 +843,11 @@ def test_ops_keep_values_finite():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 5)) * 50
     for t in (
-        ad.activation("silu", Tensor(x)),
-        ad.activation("tanh", Tensor(x)),
+        ad.activation("silu", Tensor(x), np.zeros(5)),
+        ad.activation("tanh", Tensor(x), np.zeros(5)),
         ad.softplus(Tensor(x)),
         ad.affine(standardize(x), Tensor(np.ones(5)), Tensor(np.zeros(5))),
-        ad.softmax(Tensor(x[0])),
+        Tensor(ad.softmax(x[0])),
     ):
         assert np.isfinite(t.data).all()
 
@@ -871,7 +857,7 @@ def test_determinism_same_graph_same_bits():
         rng = np.random.default_rng(16)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((4, 3)))
-        loss = _total(ad.activation("tanh", ad.matmul(w, x)))
+        loss = _total(ad.activation("tanh", ad.matmul(w, x), np.zeros(3)))
         loss.backward()
         return loss.item(), w.grad.copy()
 

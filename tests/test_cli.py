@@ -3,9 +3,11 @@ import colorsys
 import ctypes
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -394,6 +396,113 @@ def test_train_with_an_unwritable_report_leaves_no_checkpoint(tmp_path, capsys):
         assert main(train_args(cube, labels, *outputs)) == 2
         assert "i/o error" in capsys.readouterr().err
         assert not model.exists() and not report.exists()
+
+
+def test_synth_whose_label_write_fails_leaves_no_cube(tmp_path, capsys):
+    argv, cube, _ = synth_args(tmp_path)
+    argv[argv.index("--out-labels") + 1] = str(tmp_path / "nodir" / "x.lbl")
+    assert main(argv) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not cube.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_two_outputs_that_are_one_file_are_refused_before_any_work(tmp_path, capsys, command):
+    argv, cube, labels = synth_args(tmp_path)
+    assert main(argv) == 0
+    target = tmp_path / "x"
+    target.write_bytes(b"keep")
+    same = [str(target), str(tmp_path / "." / "x")]
+    if command == "synth":
+        argv = synth_args(tmp_path / "nodir")[0]
+        argv[argv.index("--out-cube") + 1], argv[argv.index("--out-labels") + 1] = same
+    else:
+        argv = train_args(cube, labels, *same)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: two outputs are one file")
+    assert target.read_bytes() == b"keep"
+
+
+def _fifo_reader(fifo):
+    # reads the FIFO to its end, so that a writer's open() returns
+    def read():
+        with open(fifo, "rb") as fh:
+            fh.read()
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    return thread
+
+
+def _release(fifo, thread):
+    # a reader still waiting for a writer gets one that writes nothing; with
+    # no reader left, the non-blocking open fails and there is none to release
+    try:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    except OSError:
+        pass
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_a_failed_train_leaves_a_fifo_report_in_place(tmp_path, capsys):
+    # the checkpoint cannot be written; the report path names a FIFO the run
+    # did not create, so it is neither written nor removed
+    argv, cube, labels = synth_args(tmp_path)
+    main(argv)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = _fifo_reader(fifo)
+    try:
+        assert main(train_args(cube, labels, tmp_path / "nodir" / "m.ckpt", fifo)) == 2
+    finally:
+        _release(fifo, reader)
+    assert "i/o error" in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_synth_into_a_fifo_whose_labels_fail_leaves_the_fifo(tmp_path, capsys):
+    # the cube is written into the FIFO, which is not a regular file: the
+    # failed run removes nothing
+    argv, _, _ = synth_args(tmp_path)
+    fifo = tmp_path / "cube.fifo"
+    os.mkfifo(fifo)
+    argv[argv.index("--out-cube") + 1] = str(fifo)
+    argv[argv.index("--out-labels") + 1] = str(tmp_path / "nodir" / "x.lbl")
+    reader = _fifo_reader(fifo)
+    try:
+        assert main(argv) == 2
+    finally:
+        _release(fifo, reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_a_report_write_that_fails_midway_leaves_no_output(tmp_path):
+    # a file-size limit that the checkpoint meets and the report, which
+    # echoes two long input paths, exceeds: the report's write fails after it
+    # began, as on a full disk, and both outputs go. Python ignores SIGXFSZ,
+    # so the write raises EFBIG
+    deep = tmp_path.joinpath(*["d" * 200] * 3)
+    deep.mkdir(parents=True)
+    argv, cube, labels = synth_args(deep)
+    assert main(argv) == 0
+    model, report = tmp_path / "m.ckpt", tmp_path / "r.txt"
+    assert main(train_args(cube, labels, model, report)) == 0
+    limit = model.stat().st_size
+    assert report.stat().st_size > limit
+    model.unlink()
+    report.unlink()
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+            "from ssnl.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code, *train_args(cube, labels, model, report)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert not model.exists() and not report.exists()
 
 
 def test_non_ascii_paths_print_escaped_to_an_ascii_stdout(tmp_path):
@@ -811,6 +920,7 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 # lines get past the parser and deep into their command
 _IN = ["missing", "garbage", "dir", "cube", "labels", "model", "config"]  # input files
 _OUT = ["fresh", "dir", "nodir"]  # output paths, never an input file
+_OUT2 = ["fresh2", "dir", "nodir"]  # a command's second output: a fresh one is another file
 _INTS = ["-1", "0", "1", "3", "0.5", "x", "", "none"]
 _FLOATS = ["-1", "0", "0.5", "1", "nan", "inf", "x"]
 _SETTINGS = ["hidden_dim=4"] + [
@@ -822,10 +932,10 @@ _SETTINGS = ["hidden_dim=4"] + [
 _FLAGS = {
     "synth": {"--rows": ["8"] + _INTS, "--cols": ["8"] + _INTS, "--bands": ["6"] + _INTS,
               "--classes": ["3"] + _INTS, "--noise": ["0.05"] + _FLOATS,
-              "--seed": ["1"] + _INTS, "--out-cube": _OUT, "--out-labels": _OUT},
+              "--seed": ["1"] + _INTS, "--out-cube": _OUT, "--out-labels": _OUT2},
     # --epochs is always given, at most 1, so no run trains longer than one epoch
     "train": {"--cube": ["cube"] + _IN, "--labels": ["labels"] + _IN, "--out-model": _OUT,
-              "--out-report": _OUT, "--seed": ["1"] + _INTS, "--epochs": ["1", "0", "-1", "x"],
+              "--out-report": _OUT2, "--seed": ["1"] + _INTS, "--epochs": ["1", "0", "-1", "x"],
               "--ratio": ["0.2"] + _FLOATS, "--verbose": None, "--config": ["config"] + _IN,
               "--set": _SETTINGS},
     "eval": {"--cube": ["cube"] + _IN, "--labels": ["labels"] + _IN,
@@ -866,7 +976,8 @@ def exit_code_files(tmp_path_factory):
     (root / "out").mkdir()
     return {"cube": cube, "labels": labels, "model": model, "config": root / "run.cfg",
             "garbage": root / "garbage", "missing": root / "missing", "dir": root,
-            "fresh": root / "out" / "file", "nodir": root / "absent" / "file"}
+            "fresh": root / "out" / "file", "fresh2": root / "out" / "file2",
+            "nodir": root / "absent" / "file"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=150,

@@ -436,7 +436,7 @@ def test_forward_trace_shapes():
     probs, logits = model_forward(patch, params, cfg)
     assert probs.shape == logits.shape == (3,)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
-    np.testing.assert_array_equal(probs.data, ad.softmax(logits).data)
+    np.testing.assert_array_equal(probs.data, ad.softmax(logits.data))
     x_norm = ad.reshape(_first_op(patch, params), (9, 6))
     assert _spectral(x_norm, params, cfg).shape == (4,)
     grid = Tensor(x_norm.data.reshape(3, 3, 6))
@@ -742,8 +742,7 @@ def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(mon
     band_pixels, elements = [], []
     _counting(monkeypatch, "affine",
               lambda xhat, *_: band_pixels.append(xhat.size // xhat.shape[-1]))
-    _counting(monkeypatch, "activation", lambda kind, x: elements.append(x.size))
-    _counting(monkeypatch, "_cell_state", lambda kind, x, b, tanh_after:
+    _counting(monkeypatch, "activation", lambda kind, x, b, tanh_after=False:
               elements.append(x.size * (2 if tanh_after else 1)))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     width = 9 * cfg.spatial_channels + 2 * 5 * 2 * cfg.hidden_dim

@@ -9,8 +9,9 @@ from ssnl import autodiff as ad
 from ssnl.autodiff import Tensor
 from ssnl.data import standardize
 
-# Leaves opt into gradients; every op records its local rule; backward()
-# replays the graph once in reverse topological order.
+# Leaves opt into gradients; an op records its local rule when one of its
+# inputs needs a gradient; backward() replays the graph once in reverse
+# topological order.
 w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
 x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
 loss = ad.mean(ad.activation("tanh", ad.matmul(w, x), np.zeros(1)))

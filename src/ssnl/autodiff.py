@@ -1,10 +1,11 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
-Each operation computes its value eagerly with numpy and records a closure
-holding the local gradient rule; ``Tensor.backward`` replays the recorded
-graph once in reverse topological order, accumulating adjoints additively
-across fan-out. float64 is the precision used by every gradient check;
-float32 is accepted for training speed.
+Each operation computes its value eagerly with numpy and, exactly when an
+input requires a gradient, records a closure holding the local gradient rule
+(inference runs on ``model.ModelParams.frozen`` and records nothing);
+``Tensor.backward`` replays the recorded graph once in reverse topological
+order, accumulating adjoints additively across fan-out. float64 is the
+precision used by every gradient check; float32 is accepted for training speed.
 
 Ops are batch-first and channels-last: they work on the trailing axes, with
 channels on the last one, and carry any leading (batch) axes through, so one
@@ -49,31 +50,10 @@ overflow; ``softplus`` keeps the one its forward pass computed.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
-
-_grad_enabled: ContextVar[bool] = ContextVar("ssnl_grad_enabled", default=True)
-
-
-class no_grad:
-    """Context manager that suspends graph recording (inference fast path).
-
-    Values are computed identically; only the bookkeeping is skipped. The flag
-    is a context variable, so it holds in the thread that entered it; another
-    thread keeps recording.
-    """
-
-    def __enter__(self):
-        self._token = _grad_enabled.set(False)
-        return self
-
-    def __exit__(self, *exc):
-        _grad_enabled.reset(self._token)
-        return False
 
 
 def _as_array(data) -> np.ndarray:
@@ -181,7 +161,7 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def _make(data, parents, backprop) -> Tensor:
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
     return Tensor(data)
 
@@ -540,14 +520,12 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x) -> Tensor:
     x = _coerce(x)
-    axes_t = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
-    inverse = tuple(np.argsort(axes_t))
-    out_data = np.transpose(x.data, axes_t)
+    out_data = x.data.T
 
     def backprop(g):
-        _accum(x, np.transpose(g, inverse))
+        _accum(x, g.T)
 
     return _make(out_data, (x,), backprop)
 

@@ -78,7 +78,7 @@ class RunConfig(TrainConfig, ModelConfig):
     bands: int | None = None
     num_classes: int | None = None
     ratio: float = 0.10
-    split_seed: int | None = None  # None: same as seed
+    split_seed: int | None = None  # None: resolved to seed
 
     def set_key(self, key: str, raw: str, where: str = "flag"):
         f = next((f for f in fields(self) if f.name == key), None)
@@ -109,8 +109,6 @@ class RunConfig(TrainConfig, ModelConfig):
         pairs = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name == "split_seed" and v is None:
-                v = self.seed
             pairs.append(f"{f.name}={'none' if v is None else v}")
         for key in sorted(extra):
             pairs.append(f"{key}={extra[key]}")
@@ -131,7 +129,8 @@ class RunConfig(TrainConfig, ModelConfig):
 def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
     """``base`` (default ``RunConfig()``) overridden by ``--config``, then each
     ``--set``, then each dedicated flag: an argument whose dest is a field.
-    The result passes TrainConfig's checks (ConfigError otherwise)."""
+    An unset ``split_seed`` is the seed. The result passes TrainConfig's
+    checks (ConfigError otherwise)."""
     run = base if base is not None else RunConfig()
     if getattr(args, "config", None):
         run.read_file(args.config)
@@ -148,6 +147,8 @@ def _resolve_run_config(args, base: RunConfig | None = None) -> RunConfig:
         run.set_key(f.name, raw)
         if getattr(run, f.name) is None:
             raise UsageError(f"flag: bad value {raw!r} for key {f.name!r}")
+    if run.split_seed is None:
+        run.split_seed = run.seed
     run.train_config()  # TrainConfig's range checks, for commands that never train too
     return run
 
@@ -164,6 +165,15 @@ def _load_scene(path, bands: int | None):
     return cube
 
 
+def _file_key(path: str):
+    # an existing file is its (device, inode), so hard links compare equal
+    try:
+        st = os.stat(path)
+    except OSError:
+        return path
+    return st.st_dev, st.st_ino
+
+
 class _Outputs:
     """A command's output paths, refused (UsageError) before its work if two
     are one file. ``write`` writes them in order; if one fails, it removes the
@@ -171,7 +181,7 @@ class _Outputs:
 
     def __init__(self, *paths):
         self.paths, self.files = paths, [os.path.realpath(p) for p in paths]
-        if len(set(self.files)) < len(paths):
+        if len({_file_key(f) for f in self.files}) < len(paths):
             raise UsageError(f"two outputs are one file: {' '.join(paths)}")
 
     def write(self, *writers):
@@ -207,8 +217,7 @@ def cmd_train(args) -> int:
     run.bands = cube.bands
     if run.num_classes is None:
         run.num_classes = labels.num_classes
-    split_seed = run.split_seed if run.split_seed is not None else run.seed
-    split = split_samples(labels, run.ratio, split_seed)
+    split = split_samples(labels, run.ratio, run.split_seed)
     params, report = train(
         cube, labels, split, run.model_config(), run.train_config(),
         verbose=args.verbose,

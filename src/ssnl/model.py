@@ -64,6 +64,7 @@ shape line followed by little-endian 32-bit floats, all of them finite.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import Field, dataclass, fields
 
@@ -151,7 +152,7 @@ def parse_field(f: Field, text: str):
 class ModelParams:
     """Every learnable tensor, as autodiff leaves whose data are views of one
     vector, ``flat``, sliced in ``expected_shapes`` order (see the module
-    docstring).
+    docstring); ``frozen`` views them as leaves that need no gradient.
 
     All tensors exist regardless of ablation flags (so checkpoints are flag
     independent in layout); only the classifier input width follows the flags.
@@ -171,6 +172,14 @@ class ModelParams:
     def named_tensors(self):
         """(name, tensor) pairs in ``expected_shapes`` order."""
         return self._tensors.items()
+
+    def frozen(self) -> ModelParams:
+        """The same parameters as leaves that need no gradient, each on its
+        tensor's current ``data`` (no copy): ops on them record no graph."""
+        view = copy.copy(self)
+        view._tensors = {name: Tensor(t.data) for name, t in self._tensors.items()}
+        view.__dict__.update(view._tensors)
+        return view
 
     @property
     def dtype(self):
@@ -365,9 +374,9 @@ def _class_means(classes, terms, cells: list[np.ndarray], kind: str, b: Tensor,
             if offset is not None:
                 lo, hi = max(-offset, 0), n - max(offset, 0)
                 slot[lo:hi] += term[lo + offset:hi + offset]
-        slot[...] = ad.activation(kind, Tensor(slot), b, tanh_after).data
+        slot[...] = ad.activation(kind, slot, b, tanh_after).data
     rows = stack.reshape(-1, stack.shape[-1])
-    return [ad.mean(Tensor(rows[cell_class * n + run_cells]), axis=-2) for run_cells in cells]
+    return [ad.mean(rows[cell_class * n + run_cells], axis=-2) for run_cells in cells]
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
@@ -380,14 +389,14 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     so no pixel is in more than about two bands. Only bands that hold a
     requested pixel are computed.
 
-    Per band, the pixel stage (standardization, gain and bias, both
-    projections, the spatial conv's per-tap channel mix) runs once per
-    pixel. The window stage's per-cell chains (the spatial tap sum, bias and
-    activation; each direction's sequence conv, activation, modulation and
-    tanh) depend only on the pixel and on the cell's boundary class, the
-    neighbours that lie inside its window, so they run once per (band pixel,
-    class) into tables, one class at a time, and one branch's tables are
-    alive at a time. Both
+    Every op runs on ``params.frozen()``, so none records a graph node. Per
+    band, the pixel stage (standardization, gain and bias, both projections,
+    the spatial conv's per-tap channel mix) runs once per pixel. The window
+    stage's per-cell chains (the spatial tap sum, bias and activation; each
+    direction's sequence conv, activation, modulation and tanh) depend only
+    on the pixel and on the cell's boundary class, the neighbours that lie
+    inside its window, so they run once per (band pixel, class) into tables,
+    one class at a time, and one branch's tables are alive at a time. Both
     convolutions are one sum over the band plane of per-tap terms, shifted by
     each kept tap's flat plane offset: the spatial conv's per-tap channel mix,
     and each direction's projection times each kernel tap. A window then
@@ -407,6 +416,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if ((coords < 0) | (coords >= (cube.rows, cube.cols))).any():
         raise ContractError(f"pixels outside the {cube.rows}x{cube.cols} raster")
+    params = params.frozen()
     p, cols, chunk = config.patch_size, cube.cols, INFERENCE_CHUNK
     padded = _pad_scene(cube, p).astype(params.dtype, copy=False)
     width = padded.shape[1]
@@ -420,7 +430,7 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
         (i + a, j + b) for a in range(-hs, hs + 1) for b in range(-hs, hs + 1)])
     sequence = _cell_classes(p, width, lambda i, j: [  # s + m in raster order, row to row
         divmod(i * p + j + m, p) for m in range(-hq, hq + 1)])
-    with ad.no_grad(), np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         directions = _directions(params, config)
         for first in range(0, wanted.size, band):
             band_chunks = first + np.flatnonzero(wanted[first:first + band])

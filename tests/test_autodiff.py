@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -577,23 +576,6 @@ def test_backward_releases_interior_adjoints_only():
             node._backprop(node.grad)
     np.testing.assert_array_equal(w.grad, w_ref.grad)
     np.testing.assert_array_equal(x.grad, x_ref.grad)
-
-
-def test_no_grad_suspends_recording_in_its_own_thread_only():
-    x = Tensor(np.ones(3), requires_grad=True)
-    seen = {}
-
-    def other_thread():
-        seen["recorded"] = ad.add(x, 2.0).requires_grad
-
-    with ad.no_grad():
-        assert not ad.add(x, 2.0).requires_grad
-        worker = threading.Thread(target=other_thread)
-        worker.start()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert seen["recorded"]
-    assert ad.add(x, 2.0).requires_grad
 
 
 # -- grad_check ----------------------------------------------------------------------

@@ -412,16 +412,18 @@ def test_two_outputs_that_are_one_file_are_refused_before_any_work(tmp_path, cap
     assert main(argv) == 0
     target = tmp_path / "x"
     target.write_bytes(b"keep")
-    same = [str(target), str(tmp_path / "." / "x")]
-    if command == "synth":
-        argv = synth_args(tmp_path / "nodir")[0]
-        argv[argv.index("--out-cube") + 1], argv[argv.index("--out-labels") + 1] = same
-    else:
-        argv = train_args(cube, labels, *same)
-    capsys.readouterr()
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error: two outputs are one file")
-    assert target.read_bytes() == b"keep"
+    os.link(target, tmp_path / "y")
+    # one name resolved two ways, and two hard links to one file
+    for same in ([str(target), str(tmp_path / "." / "x")], [str(target), str(tmp_path / "y")]):
+        if command == "synth":
+            argv = synth_args(tmp_path / "nodir")[0]
+            argv[argv.index("--out-cube") + 1], argv[argv.index("--out-labels") + 1] = same
+        else:
+            argv = train_args(cube, labels, *same)
+        capsys.readouterr()
+        assert main(argv) == 1, same
+        assert capsys.readouterr().err.startswith("usage error: two outputs are one file")
+        assert target.read_bytes() == b"keep"
 
 
 def _fifo_reader(fifo):
@@ -742,10 +744,10 @@ def test_every_run_field_round_trips_through_set():
     for f in fields(RunConfig):
         want, got = getattr(changed, f.name), getattr(parsed, f.name)
         assert got == want and type(got) is type(want), f.name
-    # "none" reads back as None for optional fields
+    # "none" reads back as None for optional fields; an unset split seed is the seed
     args = argparse.Namespace(set=["clip_norm=none", "split_seed=None", "bands=none"])
-    parsed = _resolve_run_config(args, RunConfig(clip_norm=1.0, split_seed=3, bands=4))
-    assert parsed.clip_norm is None and parsed.split_seed is None and parsed.bands is None
+    parsed = _resolve_run_config(args, RunConfig(clip_norm=1.0, split_seed=3, bands=4, seed=5))
+    assert parsed.clip_norm is None and parsed.split_seed == 5 and parsed.bands is None
 
 
 @pytest.mark.parametrize("setting", ["augment=2", "augment=yes", "epochs=1.5",

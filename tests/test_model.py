@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ssnl import autodiff as ad
 from ssnl import model as model_module
 from ssnl.autodiff import Tensor
-from ssnl.data import HsiCube, _pad_scene, extract_window, standardize
+from ssnl.data import HsiCube, LabelRaster, _pad_scene, extract_window, standardize
 from ssnl.errors import ConfigError, MagicError, ShapeError, SsnlError
 from ssnl.model import (
     ModelConfig,
@@ -25,7 +25,8 @@ from ssnl.model import (
     predict_pixels,
     save_model,
 )
-from ssnl.train import AdamState, TrainConfig, adam_step, cross_entropy, gradient_check_model
+from ssnl.train import (AdamState, TrainConfig, adam_step, cross_entropy, evaluate,
+                        gradient_check_model)
 
 
 def small_config(**overrides):
@@ -529,6 +530,42 @@ def test_predict_shift_invariant():
     np.testing.assert_array_equal(first, 2)
 
 
+def test_inference_records_no_graph_node(monkeypatch):
+    # predict_pixels runs every op on params.frozen(): neither a whole-scene
+    # call nor evaluate makes a node that requires a gradient
+    made, make = [], ad._make
+
+    def recording_make(*args):
+        out = make(*args)
+        made.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    cfg = small_config()
+    params = init_model(cfg, seed=4)
+    cube, pixels = _scene(cfg, seed=5)
+    predict_pixels(cube, pixels, params, cfg)
+    labels = LabelRaster(np.arange(20).reshape(4, 5) % cfg.num_classes + 1)
+    evaluate(params, cfg, cube, labels, pixels)
+    assert made and not any(made)
+    assert all(t.grad is None for _, t in params.named_tensors())
+
+
+def test_frozen_params_are_the_current_arrays_without_gradients():
+    cfg = small_config()
+    params = init_model(cfg, seed=6)
+    # a rebound .data is detached from flat; the view follows the tensor
+    params.classifier_b2.data = np.arange(3, dtype=params.dtype)
+    view = params.frozen()
+    assert view.dtype == params.dtype
+    assert [name for name, _ in view.named_tensors()] == list(expected_shapes(cfg))
+    for (name, t), (_, v) in zip(params.named_tensors(), view.named_tensors()):
+        assert v.data is t.data and np.shares_memory(v.data, t.data), name
+        assert getattr(view, name) is v and t.requires_grad and not v.requires_grad, name
+    params.proj_fwd.data[0, 0] = 7.0  # an in-place write shows through the view
+    assert view.proj_fwd.data[0, 0] == 7.0
+
+
 # -- scene inference ---------------------------------------------------------------------
 
 
@@ -663,30 +700,29 @@ def _per_window_stage(cube, params, cfg):
     runs = -(-pixels // chunk)
     band = max(model_module.BAND_CHUNKS, -(-(p - 1) * cols // chunk))
     corner = np.arange(p)[:, None] * width + np.arange(p)
-    out = []
-    with ad.no_grad():
-        directions = model_module._directions(params, cfg)
-        for first in range(0, runs, band):
-            top = first * chunk // cols
-            bottom = (min((first + band) * chunk, pixels) - 1) // cols + p
-            x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, cfg.bands)),
-                               params.norm_gain, params.norm_bias)
-            projected = [(ad.matmul(x_norm, proj), kernel, modulation)
-                         for proj, kernel, modulation in directions]
-            taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
-            for c in range(first, min(first + band, runs)):
-                run = np.arange(c * chunk, min((c + 1) * chunk, pixels))
-                cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
-                parts = []
-                if cfg.spatial_on:
-                    parts.append(model_module._spatial_pool(Tensor(ad._tap_sum(taps[cells])),
-                                                            params, cfg))
-                if cfg.spectral_on:
-                    seq = cells.reshape(len(run), p * p)
-                    parts.append(model_module._spectral_window(
-                        [(Tensor(z.data[seq]), kernel, modulation)
-                         for z, kernel, modulation in projected], cfg))
-                out.append(model_module._classify(parts, params, cfg)[0].data)
+    params, out = params.frozen(), []
+    directions = model_module._directions(params, cfg)
+    for first in range(0, runs, band):
+        top = first * chunk // cols
+        bottom = (min((first + band) * chunk, pixels) - 1) // cols + p
+        x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, cfg.bands)),
+                           params.norm_gain, params.norm_bias)
+        projected = [(ad.matmul(x_norm, proj), kernel, modulation)
+                     for proj, kernel, modulation in directions]
+        taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+        for c in range(first, min(first + band, runs)):
+            run = np.arange(c * chunk, min((c + 1) * chunk, pixels))
+            cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
+            parts = []
+            if cfg.spatial_on:
+                parts.append(model_module._spatial_pool(Tensor(ad._tap_sum(taps[cells])),
+                                                        params, cfg))
+            if cfg.spectral_on:
+                seq = cells.reshape(len(run), p * p)
+                parts.append(model_module._spectral_window(
+                    [(Tensor(z.data[seq]), kernel, modulation)
+                     for z, kernel, modulation in projected], cfg))
+            out.append(model_module._classify(parts, params, cfg)[0].data)
     return out
 
 

@@ -466,6 +466,17 @@ def cross_entropy(logits, targets) -> Tensor:
 # -- reductions and shape ops ----------------------------------------------------
 
 
+def _sum_is_exact(lo, hi, count: int) -> bool:
+    """Whether a float64 sum of any ``count`` float32 values of magnitudes in
+    [lo, hi] is exact in any order, so equal to the sorted sum.
+
+    Each such value is a multiple of u, the ulp of ``lo``, which is below
+    2**24 u. With hi * count < 2**29 lo, every partial sum is an integer below
+    2**53 times u, which float64 holds exactly. Zeros, inf, NaN and wide
+    ranges fail the test."""
+    return float(hi) * count < 2.0**29 * float(lo)
+
+
 def mean(x, axis=None) -> Tensor:
     """Arithmetic mean, order-invariant: each slot's values are summed exactly
     in float64 and divided, then cast back to the input dtype, so permuting the
@@ -485,11 +496,7 @@ def mean(x, axis=None) -> Tensor:
     keep = tuple(i for i in range(x.ndim) if i not in axes)
     count = int(np.prod([x.shape[a] for a in axes], dtype=np.int64))
     mag = np.abs(x.data) if x.dtype == np.float32 and x.size else None
-    # Each float32 value is a multiple of u, the ulp of the smallest magnitude,
-    # which is below 2**24 u. With max|x| * count < 2**29 min|x|, every partial
-    # sum is an integer below 2**53 times u: exact in float64 in any order, so
-    # equal to the sorted sum. Zeros, inf, NaN and wide ranges fail the test.
-    if mag is not None and float(mag.max()) * count < 2.0**29 * float(mag.min()):
+    if mag is not None and _sum_is_exact(mag.min(), mag.max(), count):
         total = x.data.sum(axis=axes, dtype=np.float64)
     else:
         # C order keeps each slot's values contiguous, so the float64 sum runs

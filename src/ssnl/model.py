@@ -47,8 +47,11 @@ pixel and on the cell's boundary class, which of its neighbours lie inside
 its window: one rule for both convolutions (``_cell_classes``; at most 9
 classes for the spatial conv and 5 for the sequence conv at kernel width 3).
 So it runs once per band pixel and class, one sum of shifted per-tap terms
-(``_class_means``), and a window only gathers its cells, takes the mean and
-runs the classifier.
+(``_class_table``). A window's mean then needs no gather: each class's table,
+shifted by each cell's offset, adds into one float64 sum per window, exact
+where the tables' magnitude range allows it and so bitwise ``ad.mean``; else
+each window is gathered for ``ad.mean`` (``_class_means``). Each run of
+windows is classified as one batch.
 
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
 view of its slice, in ``expected_shapes`` order, the one statement of that
@@ -78,7 +81,7 @@ from .errors import (ConfigError, ContractError, FormatError, MagicError, Numeri
 
 CHECKPOINT_MAGIC = b"SSNLCKPT1\n"
 INFERENCE_CHUNK = 32  # patches per batched inference forward
-BAND_CHUNKS = 8       # least inference chunks per band of predict_pixels
+BAND_CHUNKS = 12      # least inference chunks per band of predict_pixels
 
 
 @dataclass
@@ -359,24 +362,66 @@ def _cell_classes(p: int, width: int, neighbours) -> tuple[np.ndarray, list[tupl
     return np.array(cell_class), list(first)
 
 
-def _class_means(classes, terms, cells: list[np.ndarray], kind: str, b: Tensor,
-                 tanh_after: bool) -> list[Tensor]:
-    """Each run's window means of one branch. Per class of ``classes``, each
-    plane pixel sums, from zeros in tap order, ``terms[m]`` (plane pixels,
-    channels) at its key's offset of tap m, skipping None; the branch's state
-    chain, ``ad.activation(kind, sum, b, tanh_after)``, fills the class's
-    slot of one stack, and a window gathers every cell from its class's slot."""
+def _class_table(key: tuple, terms, kind: str, b: Tensor, tanh_after: bool) -> np.ndarray:
+    """One branch's table of the boundary class ``key``: each plane pixel sums,
+    from zeros in tap order, ``terms[m]`` (plane pixels, channels) at the key's
+    offset of tap m, skipping None; then the branch's state chain,
+    ``ad.activation(kind, sum, b, tanh_after)``."""
+    n = terms[0].shape[0]
+    table = np.zeros(terms[0].shape, terms[0].dtype)
+    for term, offset in zip(terms, key):
+        if offset is not None:
+            lo, hi = max(-offset, 0), n - max(offset, 0)
+            table[lo:hi] += term[lo + offset:hi + offset]
+    return ad.activation(kind, table, b, tanh_after).data
+
+
+def _window_sums(classes, terms, first: int, m: int, corner: np.ndarray, kind: str,
+                 b: Tensor, tanh_after: bool) -> np.ndarray | None:
+    """The float64 (m, channels) sums of one branch's windows at plane origins
+    ``first`` to ``first + m - 1``, ``corner`` a window's cell offsets, or None
+    where a sum may not be exact. Each cell's class table, shifted by the
+    cell's offset, is added into the sums, one table alive at a time. The sums
+    are exact in any order where ``ad._sum_is_exact`` holds over every value a
+    window reads: for class c, the table's one slice from c's least cell
+    offset to its greatest plus m."""
+    cell_class, keys = classes
+    sums, lo, hi = np.zeros((m, terms[0].shape[-1])), np.inf, 0.0
+    for c, key in enumerate(keys):
+        table = _class_table(key, terms, kind, b, tanh_after)
+        offsets = first + corner[cell_class == c]
+        for offset in offsets:
+            sums += table[offset:offset + m]
+        read = np.abs(table[offsets[0]:offsets[-1] + m], out=table[offsets[0]:offsets[-1] + m])
+        lo, hi = np.minimum(lo, read.min()), np.maximum(hi, read.max())  # NaN stays
+        del table, read
+    return sums if ad._sum_is_exact(lo, hi, corner.size) else None
+
+
+def _class_means(classes, terms, origins: list[np.ndarray], corner: np.ndarray, kind: str,
+                 b: Tensor, tanh_after: bool) -> list[np.ndarray]:
+    """Each run's window means of one branch, bitwise ``ad.mean``'s: ``origins``
+    holds each run's window origins in the plane, ascending, and a window's
+    cell at offset ``corner[k]`` reads its class's table (``_class_table``) at
+    its plane pixel.
+
+    Float32 tables take the exact float64 sums of ``_window_sums``, whose
+    means are ``ad.mean``'s. Where there are none (float64, zeros, NaN, a
+    wide range), the tables are built again into one stack, and each run
+    gathers its windows' cells and takes ``ad.mean``."""
+    first = origins[0][0]
+    sums = (_window_sums(classes, terms, first, origins[-1][-1] - first + 1, corner, kind, b,
+                         tanh_after) if terms[0].dtype == np.float32 else None)
+    if sums is not None:
+        means = (sums / corner.size).astype(np.float32)
+        return [means[run - first] for run in origins]
     cell_class, keys = classes
     n = terms[0].shape[0]
-    stack = np.zeros((len(keys),) + terms[0].shape, terms[0].dtype)
-    for slot, key in zip(stack, keys):
-        for term, offset in zip(terms, key):
-            if offset is not None:
-                lo, hi = max(-offset, 0), n - max(offset, 0)
-                slot[lo:hi] += term[lo + offset:hi + offset]
-        slot[...] = ad.activation(kind, slot, b, tanh_after).data
-    rows = stack.reshape(-1, stack.shape[-1])
-    return [ad.mean(rows[cell_class * n + run_cells], axis=-2) for run_cells in cells]
+    rows = np.empty((len(keys) * n, terms[0].shape[-1]), terms[0].dtype)
+    for c, key in enumerate(keys):
+        rows[c * n:(c + 1) * n] = _class_table(key, terms, kind, b, tanh_after)
+    return [ad.mean(rows[cell_class * n + run[:, None] + corner], axis=-2).data
+            for run in origins]
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
@@ -390,20 +435,22 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     requested pixel are computed.
 
     Every op runs on ``params.frozen()``, so none records a graph node. Per
-    band, the pixel stage (standardization, gain and bias, both projections,
-    the spatial conv's per-tap channel mix) runs once per pixel. The window
-    stage's per-cell chains (the spatial tap sum, bias and activation; each
-    direction's sequence conv, activation, modulation and tanh) depend only
-    on the pixel and on the cell's boundary class, the neighbours that lie
-    inside its window, so they run once per (band pixel, class) into tables,
-    one class at a time, and one branch's tables are alive at a time. Both
-    convolutions are one sum over the band plane of per-tap terms, shifted by
-    each kept tap's flat plane offset: the spatial conv's per-tap channel mix,
-    and each direction's projection times each kernel tap. A window then
-    gathers its cells from the tables and takes the exact mean, and each run
-    holding a requested pixel is classified as one batch. The kept taps of a
-    cell that a window reads lie inside that window, so inside the plane: the
-    cell sums the same products in the same order as ``model_forward``'s
+    band, the pixel stage (standardization, gain and bias, the spatial conv's
+    per-tap channel mix, both projections) runs once per pixel, and the
+    normalized pixels go before the window stage. The window stage's per-cell
+    chains (the spatial tap sum, bias and activation; each direction's
+    sequence conv, activation, modulation and tanh) depend only on the pixel
+    and on the cell's boundary class, the neighbours that lie inside its
+    window, so they run once per (band pixel, class) into tables, one table
+    alive at a time. Both convolutions are one sum over the band plane of
+    per-tap terms, shifted by each kept tap's flat plane offset: the spatial
+    conv's per-tap channel mix, and each direction's projection times each
+    kernel tap. A window's mean adds its cells' table entries, in one exact
+    float64 sum per window where the table values allow it, else by
+    ``ad.mean`` of the gathered window (``_class_means``); each run holding
+    a requested pixel is classified as one batch. The kept taps of a cell
+    that a window reads lie inside that window, so inside the plane: the cell
+    sums the same products in the same order as ``model_forward``'s
     convolutions, and the probabilities are bitwise those of the window stage
     run on each gathered window. A cell whose offsets wrap to another plane
     row is never read.
@@ -440,22 +487,27 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
             bottom = (min((first + band) * chunk, ids.size) - 1) // cols + p
             x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, config.bands)),
                                params.norm_gain, params.norm_bias)
+            taps = (ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+                    if config.spatial_on else None)
+            projected = [ad.matmul(x_norm, proj).data for proj, _, _ in directions]
+            del x_norm
             runs = [np.arange(c * chunk, min((c + 1) * chunk, ids.size)) for c in band_chunks]
-            cells = [((run // cols - top) * width + run % cols)[:, None] + corner for run in runs]
+            origins = [(run // cols - top) * width + run % cols for run in runs]
             parts = []
-            if config.spatial_on:
-                taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+            if taps is not None:
                 terms = taps.reshape(len(taps), -1, taps.shape[-1]).transpose(1, 0, 2)
-                parts.append(_class_means(spatial, terms, cells, config.activation,
+                parts.append(_class_means(spatial, terms, origins, corner, config.activation,
                                           params.spatial_bias, tanh_after=False))
                 del taps, terms
-            if config.spectral_on:
+            if directions:
                 # (k, plane pixels, hidden) terms; a contiguous copy of the
-                # taps, as the product is slow on a channel stride of k
-                means = [_class_means(sequence, ad.matmul(x_norm, proj).data
-                                      * np.ascontiguousarray(kernel.data.T)[:, None], cells,
-                                      config.activation, modulation, tanh_after=True)
-                         for proj, kernel, modulation in directions]
+                # taps, as the product is slow on a channel stride of k. Each
+                # projection goes once its terms are made
+                means = [_class_means(sequence, projected.pop(0)
+                                      * np.ascontiguousarray(kernel.data.T)[:, None],
+                                      origins, corner, config.activation, modulation,
+                                      tanh_after=True)
+                         for _, kernel, modulation in directions]
                 parts.append(means[0] if len(means) == 1 else list(map(ad.add, *means)))
             for i, run in enumerate(runs):
                 ids[run] = _class_ids(_classify([part[i] for part in parts], params, config)[0])

@@ -1,6 +1,7 @@
 import argparse
 import colorsys
 import ctypes
+import gc
 import os
 import re
 import stat
@@ -679,7 +680,7 @@ def _ppm_classes(path, rows, cols, classes):
 
 @pytest.mark.parametrize("size, bands, classes, patch", [
     pytest.param(48, 24, 4, 5, id="acceptance"),
-    pytest.param(30, 144, 15, 7, id="wide"),  # four pixel-stage bands
+    pytest.param(30, 144, 15, 7, id="wide"),  # three pixel-stage bands
 ])
 def test_eval_map_and_train_agree_on_every_test_pixel(tmp_path, capsys, size, bands,
                                                        classes, patch):
@@ -802,7 +803,15 @@ def test_commands_that_never_train_range_check_their_config(capsys, argv):
     assert captured.err.startswith("contract error: ") and captured.err.count("\n") == 1
 
 
-# -- process settings: heap policy, BLAS threads ----------------------------------------
+# -- process settings: frozen objects, heap policy, BLAS threads -----------------------
+
+
+def test_main_freezes_the_objects_alive_at_start(capsys):
+    # so that the collections at interpreter exit do not walk them
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    assert main(["complexity"]) == 0
+    assert gc.get_freeze_count() > 0
 
 
 def test_main_sets_the_glibc_heap_policy(monkeypatch, capsys):

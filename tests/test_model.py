@@ -586,7 +586,8 @@ _FLAG_SETS = [dict(zip(("forward_on", "backward_on", "spatial_on"), bits))
 
 
 @pytest.mark.parametrize("flags", _FLAG_SETS)
-@pytest.mark.parametrize("rows, cols, p", [(19, 15, 3),   # two bands; edge pixels
+@pytest.mark.parametrize("rows, cols, p", [(19, 15, 3),   # one band; edge pixels
+                                           (26, 15, 3),   # two bands
                                            (23, 5, 5),    # narrower than a chunk
                                            (2, 3, 5)])    # smaller than a patch
 def test_predict_pixels_is_the_forward_pass_of_each_window(monkeypatch, flags, rows, cols, p):
@@ -604,7 +605,7 @@ def test_predict_pixels_is_the_forward_pass_of_each_window(monkeypatch, flags, r
 
 
 def test_predict_pixels_classes_do_not_depend_on_the_request(monkeypatch):
-    # 30 x 31 pixels: four bands. A subset's batches, and so its classes, are
+    # 30 x 31 pixels: three bands. A subset's batches, and so its classes, are
     # bitwise those of the whole-scene call, also when whole bands go unrequested
     cfg = small_config(patch_size=5, num_classes=4)
     params = init_model(cfg, seed=41)
@@ -667,9 +668,9 @@ def test_flip_reverses_the_backward_kernel_not_the_sequence(monkeypatch):
     _, logits = model_forward(rng.standard_normal((4, 5, 5, cfg.bands)), params, cfg)
     cross_entropy(logits, np.array([1, 2, 3, 1])).backward()
     assert params.kernel_bwd.grad is not None
-    cube = HsiCube(rng.standard_normal((9, 40, cfg.bands)))   # 360 pixels: two bands
+    cube = HsiCube(rng.standard_normal((9, 43, cfg.bands)))   # 387 pixels: two bands
     assert cube.rows * cube.cols > model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
-    predict_pixels(cube, np.argwhere(np.ones((9, 40), dtype=bool)), params, cfg)
+    predict_pixels(cube, np.argwhere(np.ones((9, 43), dtype=bool)), params, cfg)
     assert shapes == [(cfg.hidden_dim, cfg.seq_kernel)] * 2
 
 
@@ -734,17 +735,19 @@ def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
     # the per-class tables sum the same products in the same order as the
     # convolutions of each gathered window, so not a bit may differ: every
     # patch size, kernels wider than the patch, both activations and dtypes,
-    # each ablation. 7 x 50 pixels: two bands, of 10 runs at p = 7. On the
-    # 13 x 3 and 9 x 1 scenes the flat plane offsets of edge cells wrap to
-    # the next or previous plane row
+    # each ablation, both ways of taking the window means. 7 x 55 pixels: two
+    # bands, of 12 runs and 1. On the 13 x 3 and 9 x 1 scenes the flat plane
+    # offsets of edge cells wrap to the next or previous plane row
     seen = _recorded_probabilities(monkeypatch)
+    summed, _ = _mean_paths(monkeypatch)
     for i, (p, (seq_kernel, spatial_kernel), act, dtype) in enumerate(_WINDOW_GRID):
+        start = len(summed)
         cfg = small_config(patch_size=p, seq_kernel=seq_kernel, spatial_kernel=spatial_kernel,
                            activation=act, hidden_dim=5, **_FLAG_SETS[i % len(_FLAG_SETS)])
         params = init_model(cfg, seed=i, dtype=dtype)
         rng = np.random.default_rng(i)
         params.flat[...] += 0.2 * rng.standard_normal(params.flat.size)   # non-zero biases and deltas
-        for rows, cols in ((7, 50), (13, 3), (9, 1)):
+        for rows, cols in ((7, 55), (13, 3), (9, 1)):
             cube = HsiCube(rng.random((rows, cols, cfg.bands)))
             seen.clear()
             predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
@@ -753,6 +756,8 @@ def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
             for got, want in zip(seen, expected):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes(), (
                     rows, cols, p, seq_kernel, spatial_kernel, act)
+        assert dtype == np.float32 or not any(summed[start:])   # float64 always gathers
+    assert True in summed and False in summed
 
 
 def _counting(monkeypatch, name, record):
@@ -763,6 +768,56 @@ def _counting(monkeypatch, name, record):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(ad, name, counting)
+
+
+def _mean_paths(monkeypatch):
+    """Per ``_class_means`` call, whether it summed its window means in float64
+    (True) or gathered its windows for ``ad.mean`` (False); and every
+    ``ad.mean`` call."""
+    summed, means, class_means = [], [], model_module._class_means
+    _counting(monkeypatch, "mean", lambda *args, **kwargs: means.append(args[0].shape))
+
+    def recording(*args, **kwargs):
+        before = len(means)
+        out = class_means(*args, **kwargs)
+        summed.append(len(means) == before)
+        return out
+
+    monkeypatch.setattr(model_module, "_class_means", recording)
+    return summed, means
+
+
+def _zero_channel_0(params):
+    # channel 0 of every branch's class tables is then exactly 0, as silu(0 + 0)
+    # and tanh(silu(0) + 0) are, a value no exact float64 sum may include
+    params.spatial_kernels.data[0] = params.spatial_bias.data[0] = 0.0
+    for proj, mix in ((params.proj_fwd, params.mix_fwd), (params.proj_bwd, params.mix_bwd)):
+        proj.data[:, 0] = mix.data[0] = 0.0
+
+
+@pytest.mark.parametrize("zero_channel", [False, True])
+def test_predict_pixels_sums_float32_window_means_exactly(monkeypatch, zero_channel):
+    # a float32 whole-scene call adds each branch's class tables into float64
+    # window sums, exact on their narrow magnitude range, so it calls ad.mean
+    # zero times; a channel held at exactly zero in every branch's tables
+    # fails the range test, so every branch gathers its windows for ad.mean.
+    # Both give the per-window stage's probabilities bitwise
+    cfg = small_config(patch_size=5, hidden_dim=6)
+    params = init_model(cfg, seed=81)
+    rng = np.random.default_rng(82)
+    params.flat[...] += 0.2 * rng.standard_normal(params.flat.size).astype(params.dtype)
+    if zero_channel:
+        _zero_channel_0(params)
+    cube = HsiCube(rng.random((9, 43, cfg.bands)))   # 387 pixels: two bands
+    seen = _recorded_probabilities(monkeypatch)
+    summed, means = _mean_paths(monkeypatch)
+    predict_pixels(cube, np.argwhere(np.ones((9, 43), dtype=bool)), params, cfg)
+    assert summed == [not zero_channel] * 6   # three branches, two bands
+    assert bool(means) == zero_channel
+    expected = _per_window_stage(cube, params, cfg)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(monkeypatch):
@@ -790,7 +845,7 @@ def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(mon
 def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
     # a band holds at least p - 1 scene rows, so the p - 1 halo rows below it
     # at most about double the pixel stage's work, on a scene wider than the
-    # 8 runs of 32 pixels a narrow scene's band holds (4.8 times at 8 runs)
+    # 12 runs of 32 pixels a narrow scene's band holds (3.5 times at 12 runs)
     rows, cols, p = 145, 145, 7
     cfg = small_config(patch_size=p, hidden_dim=2, spatial_channels=2, classifier_hidden=2)
     params = init_model(cfg, seed=55)
@@ -802,26 +857,46 @@ def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
     assert sum(band_pixels) <= 2.2 * (rows + p - 1) * (cols + p - 1)
 
 
-def test_predict_pixels_peak_memory_on_the_wide_scene():
-    # whole-scene inference of the 30 x 30 x 144, p = 7 benchmark scene holds
-    # one branch's class tables and one run's gathered windows at a time. The
-    # bound is the tracemalloc peak of the per-window design this replaced, in
-    # which each run gathered its windows' per-tap outputs: 4,990,378 bytes
-    # (numpy 2.4, Python 3.11)
-    rows, cols = 30, 30
+def _whole_scene_peak(rows: int, cols: int, zero_channel: bool = False) -> int:
+    """tracemalloc peak of a second whole-scene call on a rows x cols x 144,
+    p = 7 scene, hidden 64, 32 spatial channels (the first call's one-off
+    allocations out of the way)."""
     cfg = ModelConfig(bands=144, num_classes=15, patch_size=7, hidden_dim=64,
                       spatial_channels=32, classifier_hidden=128)
     params = init_model(cfg, seed=71)
+    if zero_channel:
+        _zero_channel_0(params)
     cube = HsiCube(np.random.default_rng(72).random((rows, cols, cfg.bands)))
     pixels = np.argwhere(np.ones((rows, cols), dtype=bool))
-    predict_pixels(cube, pixels, params, cfg)   # first-call allocations out of the way
+    predict_pixels(cube, pixels, params, cfg)
     tracemalloc.start()
     try:
         predict_pixels(cube, pixels, params, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4_990_378
+
+
+def test_predict_pixels_peak_memory_on_the_wide_scene():
+    # whole-scene inference of the 30 x 30 x 144, p = 7 benchmark scene holds
+    # one class table and one float64 sum per window of one branch at a time.
+    # The bound is the tracemalloc peak of the per-window design this
+    # replaced, in which each run gathered its windows' per-tap outputs:
+    # 4,990,378 bytes (numpy 2.4, Python 3.11)
+    assert _whole_scene_peak(30, 30) <= 4_990_378
+
+
+@pytest.mark.parametrize("zero_channel", [False, True])
+def test_predict_pixels_peak_memory_on_a_tall_band_scene(zero_channel):
+    # at p = 7 a scene 145 pixels wide takes bands of 28 runs, to cover the
+    # p - 1 halo rows: the layer-normed pixels go once both projections and
+    # the conv's per-tap outputs are taken, and the class tables add into
+    # one float64 sum per window, a table at a time; where the sums are not
+    # exact, they go before one branch's tables are stacked. The bound is
+    # the tracemalloc peak of the design before that, which kept one
+    # branch's tables and the layer-normed pixels alive: 12,504,410 bytes
+    # (numpy 2.4, Python 3.11)
+    assert _whole_scene_peak(40, 145, zero_channel) <= 12_504_410
 
 
 # -- checkpoints ------------------------------------------------------------------------

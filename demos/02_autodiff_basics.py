@@ -41,8 +41,11 @@ print("tanh(silu([0, 1]) + 0.5)  :", ad.activation("silu", z, np.full(2, 0.5), t
 print("softmax [0, ln3]          :", ad.softmax(np.array([0.0, np.log(3.0)])))  # [0.25, 0.75]
 
 # The model's input: per-pixel standardization on data, outside the graph,
-# then a learned gain and bias.
-xn = ad.affine(standardize(np.array([0.0, 2.0])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+# then a learned gain and bias. Training folds those into the weights that
+# read the input: fold(W, gain, bias, axis) is the weight of the input with a
+# ones channel appended. Folding the identity gives the scaled pixels.
+weight = ad.fold(Tensor(np.eye(2)), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0)
+xn = ad.matmul(np.append(standardize(np.array([0.0, 2.0])), 1.0), weight)
 print("standardized [0, 2]       :", xn.data)                # [-1, 1] / sqrt(1 + 1e-5)
 
 # Checking machinery: worst relative error of tape gradients against

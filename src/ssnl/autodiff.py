@@ -29,17 +29,20 @@ The first step is per pixel, so scene inference (``model.predict_pixels``)
 runs it once per scene pixel; it sums the taps itself, once per scene pixel
 and boundary class, by the shifted sum it also uses for the sequence conv.
 
-An input that needs no gradient gets none. ``affine``, the model's first op,
-scales data ``xhat`` (the standardized input) by a learned ``gain`` and
-``bias``, and marks its output ``xhat * gain + bias`` (``Tensor._affine``; a
-``reshape`` that keeps the last axis passes the mark on). ``matmul`` and
-``conv2d`` fold a marked input: they link to ``gain`` and ``bias``, form no
-input gradient, and take both gradients from their weight-gradient GEMM
-``M = xhat.T @ g`` and the row sums ``s`` of ``g``, with W (in, out):
-``dW = gain * M + bias * s``, ``d gain = (W * M).sum(1)``, ``d bias = W @ s``
-(``_fold``). ``activation`` is the one nonlinear op: a bias, silu or tanh,
-and optionally a tanh on top, as one node; every chain of the model is one.
-``softmax`` is a function of data, not a node.
+An input that needs no gradient gets none: ``_make`` links only the inputs
+that need one, so data is never a graph node, and ``matmul`` and ``conv2d``
+form no GEMM for a gradient nobody reads. ``fold`` puts the model's first op,
+a learned ``gain`` and ``bias`` on data ``xhat`` (the standardized input), on
+the weight side. By linearity ``(xhat * gain + bias) @ W`` is
+``[xhat, 1] @ fold(W, gain, bias, 0)``: the consumers of the standardized
+input take data with a ones channel appended, which carries the bias, and a
+folded weight. In ``conv2d`` zero padding gives that channel the meaning of a
+bias per pixel, since only in-window cells send their taps. With W viewed as
+(in, rest), and gW and gc the first ``in`` rows and the last row of the
+output gradient: ``dW = gain * gW + bias * gc``, ``d gain = (gW * W).sum(1)``
+and ``d bias = W @ gc``. ``activation`` is the one nonlinear op: a bias, silu
+or tanh, and optionally a tanh on top, as one node; every chain of the model
+is one. ``softmax`` is a function of data, not a node.
 
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
@@ -68,7 +71,7 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """Dense n-d float array with a gradient slot and graph bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_affine")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backprop=None):
         self.data = _as_array(data)
@@ -76,8 +79,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backprop = _backprop
-        # (xhat, gain, bias) of an affine of data, for its consumers' fold
-        self._affine: tuple | None = None
 
     @property
     def shape(self):
@@ -161,8 +162,9 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def _make(data, parents, backprop) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
+    linked = tuple(p for p in parents if p.requires_grad)
+    if linked:
+        return Tensor(data, requires_grad=True, _parents=linked, _backprop=backprop)
     return Tensor(data)
 
 
@@ -210,29 +212,40 @@ def matmul(a, b) -> Tensor:
     b2 = b.data.reshape(k, -1)
     a2 = a.data.reshape(-1, k)
     out_data = (a2 @ b2).reshape(a.shape[:-1] + b.shape[1:])
-    affine, parents, rows = a._affine, (a, b), a2
-    if affine is not None:  # fold an affine of data: keep xhat, not a
-        a, rows, parents = None, affine[0].reshape(-1, k), affine[1:] + (b,)
 
     def backprop(g):
         g2 = g.reshape(-1, b2.shape[1])
-        if a is None:
-            grad_b = _fold(affine, b2, rows.T @ g2, g2.sum(axis=0))
-        else:
+        if a.requires_grad:
             _accum(a, (g2 @ b2.T).reshape(a.shape))
-            grad_b = rows.T @ g2
-        _accum(b, grad_b.reshape(b.shape))
+        if b.requires_grad:
+            _accum(b, (a2.T @ g2).reshape(b.shape))
 
-    return _make(out_data, parents, backprop)
+    return _make(out_data, (a, b), backprop)
 
 
-def _fold(affine, w: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Weight ``w``'s gradient, (in, out), on a marked affine ``affine``, from
-    ``m = xhat.T @ g`` and the row sums ``s`` of ``g``; accumulates gain's and bias's."""
-    _, gain, bias = affine
-    _accum(gain, (w * m).sum(axis=1))
-    _accum(bias, w @ s)
-    return gain.data[:, None] * m + bias.data[:, None] * s
+def fold(w, gain, bias, axis: int) -> Tensor:
+    """The weight that ``w`` is on ``xhat * gain + bias``, for the input
+    ``[xhat, 1]`` (a ones channel appended): ``w``'s input-channel slices
+    along ``axis``, each scaled by its ``gain``, then one more slice,
+    ``sum(bias * w)`` over them (see the module docstring)."""
+    w, gain, bias = _coerce(w), _coerce(gain), _coerce(bias)
+    n = w.shape[axis]
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"fold gain/bias must be ({n},), got {gain.shape} and {bias.shape}")
+    moved = w.data.swapaxes(0, axis)
+    w2 = moved.reshape(n, -1)  # (in, rest)
+    out2 = np.concatenate([gain.data[:, None] * w2, (bias.data @ w2)[None]])
+    out_data = out2.reshape((n + 1,) + moved.shape[1:]).swapaxes(0, axis)
+
+    def backprop(g):
+        g2 = g.swapaxes(0, axis).reshape(n + 1, -1)
+        gw, gc = g2[:n], g2[n]
+        _accum(gain, (gw * w2).sum(axis=1))
+        _accum(bias, w2 @ gc)
+        dw = gain.data[:, None] * gw + bias.data[:, None] * gc
+        _accum(w, dw.reshape(moved.shape).swapaxes(0, axis))
+
+    return _make(out_data, (w, gain, bias), backprop)
 
 
 # -- convolutions --------------------------------------------------------------
@@ -334,44 +347,20 @@ def conv2d(x, kernels) -> Tensor:
     cout, cin, k = kernels.shape[:3]
     out_data = _tap_sum(_channel_taps(x.data, kernels.data))
     g_shape, rows = (-1,) + x.shape[-3:-1] + (cout,), x.data.reshape(-1, cin)
-    affine, parents = x._affine, (x, kernels)
-    if affine is not None:  # fold an affine of data: keep xhat, not x
-        x, rows, parents = None, affine[0].reshape(-1, cin), affine[1:] + (kernels,)
 
     def backprop(g):
         gcols = _im2col(g.reshape(g_shape), k)
-        grad_k = gcols.T @ rows  # (k*k*out, in), taps in flipped order
-        flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-        if x is None:
-            grad_k = _fold(affine, flipped.T, grad_k.T, gcols.sum(axis=0)).T
-        else:
-            _accum(x, (gcols @ flipped).reshape(x.shape))
-        _accum(kernels, grad_k.reshape(k, k, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            flipped = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            _accum(x, (gcols @ flipped.reshape(k * k * cout, cin)).reshape(x.shape))
+        if kernels.requires_grad:
+            grad_k = gcols.T @ rows  # (k*k*out, in), taps in flipped order
+            _accum(kernels, grad_k.reshape(k, k, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1))
 
-    return _make(out_data, parents, backprop)
+    return _make(out_data, (x, kernels), backprop)
 
 
 # -- the model's input and activations ------------------------------------------
-
-
-def affine(xhat: np.ndarray, gain, bias) -> Tensor:
-    """``xhat * gain + bias`` over the last axis, of data ``xhat`` (a
-    standardized input, ``data.standardize``): ``xhat`` gets no gradient, and
-    the output carries the fold mark (see the module docstring)."""
-    gain, bias = _coerce(gain), _coerce(bias)
-    n = xhat.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"affine gain/bias must be ({n},), got {gain.shape} and {bias.shape}")
-    lead = tuple(range(xhat.ndim - 1))
-
-    def backprop(g):
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
-
-    out = _make(xhat * gain.data + bias.data, (gain, bias), backprop)
-    if out.requires_grad:
-        out._affine = (xhat, gain, bias)
-    return out
 
 
 def _sigmoid(d: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -521,10 +510,7 @@ def reshape(x, shape) -> Tensor:
     def backprop(g):
         _accum(x, g.reshape(x.shape))
 
-    out = _make(out_data, (x,), backprop)
-    if x._affine is not None and out_data.shape[-1:] == x.shape[-1:]:  # still foldable
-        out._affine = (x._affine[0].reshape(out_data.shape),) + x._affine[1:]
-    return out
+    return _make(out_data, (x,), backprop)
 
 
 def transpose(x) -> Tensor:

@@ -29,24 +29,25 @@ needs an intermediate value calls the stage it comes from (``_spatial_pool``,
 ``_spectral_window``, ``_classify``).
 
 The model splits into a pixel stage and a window stage. The pixel stage is
-per pixel: the standardized spectrum's gain and bias (``ad.affine``), both
-projections, and the spatial conv's channel mix (``autodiff._channel_taps``,
-one GEMM to per-tap outputs). The statistics are data, computed outside the
-graph: ``model_forward`` standardizes its raw windows, ``train`` the scene
-once, ``predict_pixels`` each band of the padded scene. The window stage is
-the rest: each direction's conv1d, activation, modulation, tanh and mean;
-the window-local tap sum (``autodiff._tap_sum``), bias, activation and pool;
-the classifier. ``_forward`` (``model_forward``, and training) runs both on
+per pixel: the standardized spectrum's gain and bias, both projections, and
+the spatial conv's channel mix (``autodiff._channel_taps``, one GEMM to
+per-tap outputs). The statistics are data, computed outside the graph:
+``model_forward`` standardizes its raw windows, ``train`` the scene once,
+``predict_pixels`` each band of the padded scene. The window stage is the
+rest: each direction's conv1d, activation, modulation, tanh and mean; the
+window-local tap sum (``autodiff._tap_sum``), bias, activation and pool; the
+classifier. ``_forward`` (``model_forward``, and training) runs both on
 gathered windows, the conv's two steps inside ``ad.conv2d``, the pixel stage
-of both branches first. The graph holds no node of the batch or its affine
-(the gain's and bias's gradients fold into the conv's and projections', see
-``autodiff``), so the affine's output is let go before the window stages.
-``predict_pixels`` runs the pixel stage once per pixel of the padded scene,
-in fixed bands. Each per-cell chain of the window stage depends only on the
-pixel and on the cell's boundary class, which of its neighbours lie inside
-its window: one rule for both convolutions (``_cell_classes``; at most 9
-classes for the spatial conv and 5 for the sequence conv at kernel width 3).
-So it runs once per band pixel and class, one sum of shifted per-tap terms
+of both branches first. It folds the gain and bias into the conv's and the
+projections' weights (``ad.fold``) and appends a ones channel to the windows,
+so no scaled copy of the batch is made and the graph holds no node of the
+batch. ``predict_pixels`` records no graph: it scales each band's
+standardized pixels by the gain and bias in numpy. It runs the pixel stage
+once per pixel of the padded scene, in fixed bands. Each per-cell chain of
+the window stage depends only on the pixel and on the cell's boundary class,
+which of its neighbours lie inside its window: one rule for both
+convolutions (``_cell_classes``; at most 9 classes for the spatial conv and
+5 for the sequence conv at kernel width 3). So it runs once per band pixel and class, one sum of shifted per-tap terms
 (``_class_table``). A window's mean then needs no gather: each class's table,
 shifted by each cell's offset, adds into one float64 sum per window, exact
 where the tables' magnitude range allows it and so bitwise ``ad.mean``; else
@@ -324,17 +325,17 @@ def model_forward(patch, params: ModelParams,
 def _forward(xhat: np.ndarray, params: ModelParams,
              config: ModelConfig) -> tuple[Tensor, Tensor]:
     """``model_forward`` on standardized windows ``xhat``, ([batch,] p, p,
-    bands): gain and bias, spatial branch, bidirectional spectral block,
-    concatenation, one-hidden-layer classifier. The pixel stage runs first;
-    the affine's output, not in the graph, goes before the rest."""
-    p = config.patch_size
-    x_norm = ad.affine(xhat.reshape(xhat.shape[:-3] + (p * p, config.bands)),
-                       params.norm_gain, params.norm_bias)
-    conv = ad.conv2d(ad.reshape(x_norm, x_norm.shape[:-2] + (p, p, config.bands)),
-                     params.spatial_kernels) if config.spatial_on else None
-    blocks = [(ad.matmul(x_norm, proj), kernel, modulation)
+    bands): spatial branch and bidirectional spectral block, concatenation,
+    one-hidden-layer classifier. The branches read ``xhat`` with a ones
+    channel appended, through weights folded with the gain and bias
+    (``ad.fold``); the pixel stage of both runs first."""
+    xhat = np.concatenate([xhat, np.ones(xhat.shape[:-1] + (1,), xhat.dtype)], axis=-1)
+    gain, bias = params.norm_gain, params.norm_bias
+    conv = (ad.conv2d(xhat, ad.fold(params.spatial_kernels, gain, bias, 1))
+            if config.spatial_on else None)
+    seq = xhat.reshape(xhat.shape[:-3] + (config.patch_size ** 2, xhat.shape[-1]))
+    blocks = [(ad.matmul(seq, ad.fold(proj, gain, bias, 0)), kernel, modulation)
               for proj, kernel, modulation in _directions(params, config)]
-    del x_norm
     parts = [] if conv is None else [_spatial_pool(conv, params, config)]
     if blocks:
         parts.append(_spectral_window(blocks, config))
@@ -485,11 +486,11 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                 continue
             top = first * chunk // cols
             bottom = (min((first + band) * chunk, ids.size) - 1) // cols + p
-            x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, config.bands)),
-                               params.norm_gain, params.norm_bias)
-            taps = (ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+            x_norm = (standardize(padded[top:bottom].reshape(-1, config.bands))
+                      * params.norm_gain.data + params.norm_bias.data)
+            taps = (ad._channel_taps(x_norm, params.spatial_kernels.data)
                     if config.spatial_on else None)
-            projected = [ad.matmul(x_norm, proj).data for proj, _, _ in directions]
+            projected = [x_norm @ proj.data for proj, _, _ in directions]
             del x_norm
             runs = [np.arange(c * chunk, min((c + 1) * chunk, ids.size)) for c in band_chunks]
             origins = [(run // cols - top) * width + run % cols for run in runs]

@@ -46,8 +46,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.patience < 1:

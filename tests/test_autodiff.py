@@ -80,6 +80,11 @@ def _total(t):
     return _dot(t, np.ones(t.shape))
 
 
+def _ones_channel(xhat):
+    # the input of a folded weight: xhat with a ones channel appended
+    return np.concatenate([xhat, np.ones(xhat.shape[:-1] + (1,), xhat.dtype)], axis=-1)
+
+
 # -- matmul ---------------------------------------------------------------------
 
 
@@ -355,7 +360,7 @@ def test_conv2d_keeps_no_columns_for_backward():
     assert live < 2 * y.data.nbytes
 
 
-# -- the layer norm: data.standardize, then ad.affine --------------------------------
+# -- the layer norm: data.standardize, then the gain and bias (ad.fold) ---------------
 
 
 def test_layer_norm_constant_input_is_zero():
@@ -369,7 +374,10 @@ def test_layer_norm_already_normalized():
 
 
 def test_layer_norm_direct_formula():
-    out = ad.affine(standardize(np.array([0.0, 2.0])), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    # gain ones and bias zeros fold the identity to [I; 0], which the ones
+    # channel reads exactly
+    weight = ad.fold(Tensor(np.eye(2)), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0)
+    out = ad.matmul(_ones_channel(standardize(np.array([0.0, 2.0]))), weight)
     np.testing.assert_array_equal(out.data, np.array([-1.0, 1.0]) / math.sqrt(1 + 1e-5))
 
 
@@ -381,17 +389,16 @@ def test_layer_norm_forward_is_bitwise_the_var_form(dtype):
     gain, bias = rng.standard_normal(24).astype(dtype), rng.standard_normal(24).astype(dtype)
     mu = x.mean(axis=-1, keepdims=True)
     want = ((x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))) * gain + bias
-    got = ad.affine(standardize(x), Tensor(gain), Tensor(bias)).data
+    got = standardize(x) * gain + bias   # predict_pixels' layer norm
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
 
 def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
-    # an affine of data is left out of the graph: matmul, and conv2d through a
-    # reshape, take the gain's and bias's gradients from their weight
-    # gradients. Folded, the gain, bias and weight gradients are the composed
-    # rule's (the affine's output a graph node, its mark cleared) up to
-    # summation order
+    # the gain and bias fold into matmul's and conv2d's weights, which read
+    # data with a ones channel. The gain, bias and weight gradients are those
+    # of the composed rule, where the scaled pixels are a graph node (the
+    # identity folded), up to summation order
     rng = np.random.default_rng(22)
     bands = 7
     for p in (1, 5):
@@ -400,16 +407,21 @@ def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
                       rng.standard_normal(bands), rng.standard_normal(bands),
                       rng.standard_normal((bands, 4)), rng.standard_normal((3, bands, k, k))]
             g_proj, g_conv = rng.standard_normal((2, p * p, 4)), rng.standard_normal((2, p, p, 3))
+            xhat = _ones_channel(standardize(arrays[0]))
             grads = []
             for composed in (True, False):
                 gain, bias, proj, kernels = (Tensor(a, requires_grad=True) for a in arrays[1:])
-                x_norm = ad.affine(standardize(arrays[0]), gain, bias)
                 if composed:
-                    x_norm._affine = None
-                grid = ad.reshape(x_norm, (2, p, p, bands))
-                loss = ad.add(_dot(ad.matmul(x_norm, proj), g_proj),
-                              _dot(ad.conv2d(grid, kernels), g_conv))
-                assert any(node is x_norm for node in ad._reverse_topo(loss)) == composed
+                    x_norm = ad.matmul(xhat, ad.fold(Tensor(np.eye(bands)), gain, bias, 0))
+                    spectral = ad.matmul(x_norm, proj)
+                    spatial = ad.conv2d(ad.reshape(x_norm, (2, p, p, bands)), kernels)
+                else:
+                    spectral = ad.matmul(xhat, ad.fold(proj, gain, bias, 0))
+                    spatial = ad.conv2d(xhat.reshape(2, p, p, bands + 1),
+                                        ad.fold(kernels, gain, bias, 1))
+                loss = ad.add(_dot(spectral, g_proj), _dot(spatial, g_conv))
+                shapes = {node.shape for node in ad._reverse_topo(loss)}
+                assert ((2, p * p, bands) in shapes) == composed
                 loss.backward()
                 grads.append([gain.grad, bias.grad, proj.grad, kernels.grad])
             for composed, folded in zip(*grads):
@@ -418,7 +430,7 @@ def test_layer_norm_of_data_gives_the_same_gain_and_bias_gradients():
 
 def test_layer_norm_gain_bias_shape_check():
     with pytest.raises(ShapeError):
-        ad.affine(np.zeros(4), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        ad.fold(Tensor(np.zeros((4, 2))), Tensor(np.ones(3)), Tensor(np.zeros(4)), 0)
 
 
 # -- activations -----------------------------------------------------------------
@@ -638,16 +650,14 @@ class _Case:
 
 
 def _folded(d):
-    # the model's first op, an affine of data, through both of its folding
-    # consumers on an (m, 1) plane: gain and bias get their gradients from
-    # the weight GEMMs
+    # the model's first op, a gain and bias on data, folded into the weights
+    # of both of its consumers on an (m, 1) plane with a ones channel
     bands = int(d.rng.integers(3, 9))
-    xhat = d.rng.standard_normal((d.m, bands))
+    xhat = _ones_channel(d.rng.standard_normal((d.m, bands)))
 
     def fn(g, b, proj, kk):
-        x_norm = ad.affine(xhat, g, b)
-        return ad.add(d.read(ad.matmul(x_norm, proj)),
-                      d.read(ad.conv2d(ad.reshape(x_norm, (d.m, 1, bands)), kk)))
+        return ad.add(d.read(ad.matmul(xhat, ad.fold(proj, g, b, 0))),
+                      d.read(ad.conv2d(xhat.reshape(d.m, 1, bands + 1), ad.fold(kk, g, b, 1))))
 
     return fn, [d.uniform(0.5, 1.5, bands), d.leaf(bands), d.leaf(bands, d.n),
                 d.leaf(3, bands, d.k, d.k)]
@@ -828,7 +838,8 @@ def test_ops_keep_values_finite():
         ad.activation("silu", Tensor(x), np.zeros(5)),
         ad.activation("tanh", Tensor(x), np.zeros(5)),
         ad.softplus(Tensor(x)),
-        ad.affine(standardize(x), Tensor(np.ones(5)), Tensor(np.zeros(5))),
+        ad.matmul(_ones_channel(standardize(x)),
+                  ad.fold(Tensor(x.T), Tensor(np.ones(5)), Tensor(np.zeros(5)), 0)),
         Tensor(ad.softmax(x[0])),
     ):
         assert np.isfinite(t.data).all()

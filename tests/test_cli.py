@@ -196,7 +196,7 @@ def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [
     "bands=0", "hidden_dim=0", "seq_kernel=-1", "spatial_kernel=-3",
     "spatial_channels=0", "classifier_hidden=0",
-    "beta1=1.0", "beta1=-0.1", "beta2=1", "adam_eps=0", "adam_eps=-1e-8",
+    "beta1=1.0", "beta1=-0.1", "beta2=1", "adam_eps=0", "adam_eps=-1e-8", "adam_eps=inf",
     "learning_rate=nan", "learning_rate=inf", "clip_norm=0", "clip_norm=-1",
     "patience=0", "min_delta=nan", "min_delta=-1",
 ])

@@ -126,7 +126,7 @@ def test_init_shapes_match_contract():
 
 def _first_op(patch, params):
     # the model's layer norm at init: standardized pixels, gain ones, bias zeros
-    return ad.affine(standardize(patch), params.norm_gain, params.norm_bias)
+    return Tensor(standardize(patch) * params.norm_gain.data + params.norm_bias.data)
 
 
 def test_normalize_constant_spectrum_pixel_is_zero():
@@ -641,8 +641,8 @@ def test_predict_pixels_normalizes_each_padded_pixel_about_once(monkeypatch):
     params = init_model(cfg, seed=51)
     cube = HsiCube(np.random.default_rng(52).random((rows, cols, cfg.bands)))
     normalized = []
-    _counting(monkeypatch, "affine",
-              lambda xhat, *_: normalized.append(xhat.size // xhat.shape[-1]))
+    _counting(monkeypatch, "standardize",
+              lambda xhat: normalized.append(xhat.size // xhat.shape[-1]), model_module)
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     band = model_module.BAND_CHUNKS * model_module.INFERENCE_CHUNK
     bands = -(-rows * cols // band)
@@ -675,17 +675,20 @@ def test_flip_reverses_the_backward_kernel_not_the_sequence(monkeypatch):
 
 
 def test_training_graph_holds_neither_the_batch_nor_its_normalized_pixels():
-    # the layer norm reads data, so the spatial conv and both projections take
-    # its gain's and bias's gradients from their weight gradients: no node of
-    # a training step's graph holds the (8, 7, 7, 12) batch or its (8, 49, 12)
-    # normalized pixels
+    # the layer norm's gain and bias fold into the spatial conv's and both
+    # projections' weights, which read the standardized batch as data with a
+    # ones channel: every node of a training step's graph needs a gradient,
+    # and none holds the (8, 7, 7, 12) batch, its (8, 49, 12) normalized
+    # pixels, or either with the ones channel
     cfg = small_config(bands=12, patch_size=7)
     params = init_model(cfg, seed=63)
     batch = np.random.default_rng(64).random((8, 7, 7, 12)).astype(params.dtype)
     _, logits = model_forward(batch, params, cfg)
     loss = cross_entropy(logits, np.arange(8) % cfg.num_classes + 1)
-    shapes = {node.shape for node in ad._reverse_topo(loss)}
-    assert not shapes & {(8, 49, 12), (8, 7, 7, 12)}
+    nodes = list(ad._reverse_topo(loss))
+    assert all(node.requires_grad for node in nodes)
+    shapes = {node.shape for node in nodes}
+    assert not shapes & {(8, 49, 12), (8, 7, 7, 12), (8, 49, 13), (8, 7, 7, 13)}
     loss.backward()
     assert all(t.grad is not None for _, t in params.named_tensors())
 
@@ -706,11 +709,11 @@ def _per_window_stage(cube, params, cfg):
     for first in range(0, runs, band):
         top = first * chunk // cols
         bottom = (min((first + band) * chunk, pixels) - 1) // cols + p
-        x_norm = ad.affine(standardize(padded[top:bottom].reshape(-1, cfg.bands)),
-                           params.norm_gain, params.norm_bias)
+        x_norm = (standardize(padded[top:bottom].reshape(-1, cfg.bands))
+                  * params.norm_gain.data + params.norm_bias.data)
         projected = [(ad.matmul(x_norm, proj), kernel, modulation)
                      for proj, kernel, modulation in directions]
-        taps = ad._channel_taps(x_norm.data, params.spatial_kernels.data)
+        taps = ad._channel_taps(x_norm, params.spatial_kernels.data)
         for c in range(first, min(first + band, runs)):
             run = np.arange(c * chunk, min((c + 1) * chunk, pixels))
             cells = ((run // cols - top) * width + run % cols)[:, None, None] + corner
@@ -760,14 +763,14 @@ def test_predict_pixels_matches_the_per_window_stage_bitwise(monkeypatch):
     assert True in summed and False in summed
 
 
-def _counting(monkeypatch, name, record):
-    fn = getattr(ad, name)
+def _counting(monkeypatch, name, record, module=ad):
+    fn = getattr(module, name)
 
     def counting(*args, **kwargs):
         record(*args, **kwargs)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(ad, name, counting)
+    monkeypatch.setattr(module, name, counting)
 
 
 def _mean_paths(monkeypatch):
@@ -831,8 +834,8 @@ def test_predict_pixels_runs_each_window_chain_once_per_band_pixel_and_class(mon
     params = init_model(cfg, seed=53)
     cube = HsiCube(np.random.default_rng(54).random((rows, cols, cfg.bands)))
     band_pixels, elements = [], []
-    _counting(monkeypatch, "affine",
-              lambda xhat, *_: band_pixels.append(xhat.size // xhat.shape[-1]))
+    _counting(monkeypatch, "standardize",
+              lambda xhat: band_pixels.append(xhat.size // xhat.shape[-1]), model_module)
     _counting(monkeypatch, "activation", lambda kind, x, b, tanh_after=False:
               elements.append(x.size * (2 if tanh_after else 1)))
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
@@ -851,8 +854,8 @@ def test_predict_pixels_bands_cover_the_halo_rows(monkeypatch):
     params = init_model(cfg, seed=55)
     cube = HsiCube(np.random.default_rng(56).random((rows, cols, cfg.bands)))
     band_pixels = []
-    _counting(monkeypatch, "affine",
-              lambda xhat, *_: band_pixels.append(xhat.size // xhat.shape[-1]))
+    _counting(monkeypatch, "standardize",
+              lambda xhat: band_pixels.append(xhat.size // xhat.shape[-1]), model_module)
     predict_pixels(cube, np.argwhere(np.ones((rows, cols), dtype=bool)), params, cfg)
     assert sum(band_pixels) <= 2.2 * (rows + p - 1) * (cols + p - 1)
 

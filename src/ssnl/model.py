@@ -33,26 +33,28 @@ per pixel: the standardized spectrum's gain and bias, both projections, and
 the spatial conv's channel mix (``autodiff._channel_taps``, one GEMM to
 per-tap outputs). The statistics are data, computed outside the graph:
 ``model_forward`` standardizes its raw windows, ``train`` the scene once,
-``predict_pixels`` each band of the padded scene. The window stage is the
-rest: each direction's conv1d, activation, modulation, tanh and mean; the
-window-local tap sum (``autodiff._tap_sum``), bias, activation and pool; the
-classifier. ``_forward`` (``model_forward``, and training) runs both on
-gathered windows, the conv's two steps inside ``ad.conv2d``, the pixel stage
-of both branches first. It folds the gain and bias into the conv's and the
-projections' weights (``ad.fold``) and appends a ones channel to the windows,
-so no scaled copy of the batch is made and the graph holds no node of the
-batch. ``predict_pixels`` records no graph: it scales each band's
-standardized pixels by the gain and bias in numpy. It runs the pixel stage
-once per pixel of the padded scene, in fixed bands. Each per-cell chain of
-the window stage depends only on the pixel and on the cell's boundary class,
-which of its neighbours lie inside its window: one rule for both
-convolutions (``_cell_classes``; at most 9 classes for the spatial conv and
-5 for the sequence conv at kernel width 3). So it runs once per band pixel and class, one sum of shifted per-tap terms
-(``_class_table``). A window's mean then needs no gather: each class's table,
-shifted by each cell's offset, adds into one float64 sum per window, exact
-where the tables' magnitude range allows it and so bitwise ``ad.mean``; else
-each window is gathered for ``ad.mean`` (``_class_means``). Each run of
-windows is classified as one batch.
+both with a ones channel appended (``_with_ones``), and ``predict_pixels``
+each band of the padded scene. The window stage is the rest: each
+direction's conv1d, activation, modulation, tanh and mean; the window-local
+tap sum (``autodiff._tap_sum``), bias, activation and pool; the classifier.
+``_forward`` (``model_forward``, and training) runs both on gathered
+windows, the conv's two steps inside ``ad.conv2d``, the pixel stage of both
+branches first. It folds the gain and bias into the conv's and the
+projections' weights (``ad.fold``), which multiply the windows' ones channel
+by the bias, so no scaled copy of the batch is made and the graph holds no
+node of the batch. ``predict_pixels`` records no graph: it scales each
+band's standardized pixels by the gain and bias in numpy. It runs the pixel
+stage once per pixel of the padded scene, in fixed bands. Each per-cell
+chain of the window stage depends only on the pixel and on the cell's
+boundary class, which of its neighbours lie inside its window: one rule for
+both convolutions (``_cell_classes``; at most 9 classes for the spatial conv
+and 5 for the sequence conv at kernel width 3). So it runs once per band
+pixel and class, one sum of shifted per-tap terms (``_class_table``). A
+window's mean then needs no gather: each class's table, shifted by each
+cell's offset, adds into one float64 sum per window, exact where the tables'
+magnitude range allows it and so bitwise ``ad.mean``; else each window is
+gathered for ``ad.mean`` (``_class_means``). Each run of windows is
+classified as one batch.
 
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
 view of its slice, in ``expected_shapes`` order, the one statement of that
@@ -319,17 +321,23 @@ def model_forward(patch, params: ModelParams,
     patch or a (batch, p, p, bands) stack, standardized here pixel by pixel
     (``data.standardize``). Returns the softmax probabilities and the logits,
     (classes,) or (batch, classes)."""
-    return _forward(standardize(_patch_array(patch, config, params.dtype)), params, config)
+    return _forward(_with_ones(standardize(_patch_array(patch, config, params.dtype))),
+                    params, config)
+
+
+def _with_ones(xhat: np.ndarray) -> np.ndarray:
+    """``xhat`` with a ones channel appended to its last axis: the input
+    ``[xhat, 1]`` that weights folded by ``ad.fold`` multiply."""
+    return np.concatenate([xhat, np.ones(xhat.shape[:-1] + (1,), xhat.dtype)], axis=-1)
 
 
 def _forward(xhat: np.ndarray, params: ModelParams,
              config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """``model_forward`` on standardized windows ``xhat``, ([batch,] p, p,
-    bands): spatial branch and bidirectional spectral block, concatenation,
-    one-hidden-layer classifier. The branches read ``xhat`` with a ones
-    channel appended, through weights folded with the gain and bias
+    """``model_forward`` on standardized windows with a ones channel
+    (``_with_ones``), ``xhat``, ([batch,] p, p, bands + 1): spatial branch and
+    bidirectional spectral block, concatenation, one-hidden-layer classifier.
+    The branches read ``xhat`` through weights folded with the gain and bias
     (``ad.fold``); the pixel stage of both runs first."""
-    xhat = np.concatenate([xhat, np.ones(xhat.shape[:-1] + (1,), xhat.dtype)], axis=-1)
     gain, bias = params.norm_gain, params.norm_bias
     conv = (ad.conv2d(xhat, ad.fold(params.spatial_kernels, gain, bias, 1))
             if config.spatial_on else None)

@@ -17,7 +17,8 @@ from . import autodiff as ad
 from .data import AUGMENT_VARIANTS, HsiCube, LabelRaster, PixelWindows, SplitSpec, standardize
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .metrics import ConfusionMatrix
-from .model import ModelConfig, ModelParams, _forward, init_model, model_forward, predict_pixels
+from .model import (ModelConfig, ModelParams, _forward, _with_ones, init_model, model_forward,
+                    predict_pixels)
 
 
 @dataclass
@@ -163,11 +164,12 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     of ``data._variant_cells`` (six samples per pixel); with it off, sample s
     is pixel s.
     Each batch gathers its samples' windows from the padded scene,
-    standardized once (``data.standardize``), so no stack of samples is
-    built. Each epoch reshuffles the sample ids with a (seed, epoch)-mixed
-    generator; the last partial batch is kept. Returns the trained parameters
-    and a report holding per-epoch mean loss, per-epoch as-trained accuracy,
-    and the confusion matrix of the split's test pixels.
+    standardized once (``data.standardize``) with a ones channel appended
+    (``model._with_ones``), so no stack of samples is built. Each epoch
+    reshuffles the sample ids with a (seed, epoch)-mixed generator; the last
+    partial batch is kept. Returns the trained parameters and a report holding
+    per-epoch mean loss, per-epoch as-trained accuracy, and the confusion
+    matrix of the split's test pixels.
     """
     _check_raster(cube, labels)
     if len(split.train) == 0:
@@ -177,7 +179,7 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     report = TrainReport()
 
     start = time.perf_counter()
-    windows = PixelWindows(HsiCube(standardize(cube.values)), split.train,
+    windows = PixelWindows(HsiCube(_with_ones(standardize(cube.values))), split.train,
                            model_config.patch_size)
     classes = labels.labels[split.train[:, 0], split.train[:, 1]]
     variants = AUGMENT_VARIANTS if train_config.augment else 1

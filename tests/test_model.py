@@ -593,6 +593,11 @@ _FLAG_SETS = [dict(zip(("forward_on", "backward_on", "spatial_on"), bits))
 def test_predict_pixels_is_the_forward_pass_of_each_window(monkeypatch, flags, rows, cols, p):
     cfg = small_config(patch_size=p, spatial_kernel=3 if p == 3 else 5, **flags)
     params = init_model(cfg, seed=31, dtype=np.float64)
+    # a gain and bias away from the identity: model_forward folds them into the
+    # weights, predict_pixels scales the pixels by them
+    rng = np.random.default_rng(33)
+    params.norm_gain.data[...] = rng.uniform(0.5, 1.5, cfg.bands)
+    params.norm_bias.data[...] = rng.uniform(-0.5, 0.5, cfg.bands)
     cube = HsiCube(np.random.default_rng(32).standard_normal((rows, cols, cfg.bands)))
     seen = _recorded_probabilities(monkeypatch)
     pixels = np.argwhere(np.ones((rows, cols), dtype=bool))

@@ -212,8 +212,9 @@ def test_train_frees_each_batch_graph_before_the_next(monkeypatch):
 def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
     # record every batch training sees, then put the samples back in id order:
     # epoch 0's batches are the sample ids in the order of its permutation.
-    # Each is bitwise its window standardized alone: a pixel's statistics do
-    # not depend on the scene around it
+    # Each is bitwise its window standardized alone, with a ones channel appended
+    # for the folded weights: a pixel's statistics do not depend on the scene
+    # around it
     train_module = importlib.import_module("ssnl.train")
     seen_windows, seen_labels = [], []
     forward, loss = train_module._forward, train_module.cross_entropy
@@ -242,7 +243,9 @@ def test_train_streams_each_sample_in_its_variant(monkeypatch, use_augment):
         row, col = split.train[s // variants]
         window = extract_window(cube, row, col, 3)
         expected = _oracle_variants(window)[s % 6] if use_augment else window
-        assert samples[s].tobytes() == standardize(expected).tobytes(), s
+        ones = np.ones(expected.shape[:-1] + (1,), expected.dtype)
+        assert samples[s].tobytes() == np.concatenate([standardize(expected), ones],
+                                                      axis=-1).tobytes(), s
         assert sample_labels[s] == labels.labels[row, col]
 
 

@@ -3,7 +3,7 @@ whole-scene inference, without start-up.
 
 Usage, from any directory:
 
-    python tools/inproc_ab.py PARENT CHANGE [--pairs 10] [--seed 1]
+    python tools/inproc_ab.py PARENT CHANGE [--seed 1]
 
 PARENT and CHANGE are checkout roots, each holding ``src/ssnl``. Both
 packages load into this one process, under the names ``ssnl_a`` and
@@ -11,14 +11,13 @@ packages load into this one process, under the names ``ssnl_a`` and
 process settings of ``ssnl.cli.main`` are applied once, from PARENT: glibc's
 heap policy and one BLAS thread.
 
-On each ``perfbench`` scene shape (``train_small``: 48x48x24, 4 classes,
-p = 5; ``train_wide``: 30x30x144, 15 classes, p = 7; both with that
-benchmark's model and training settings) a pair runs one block per side,
-parent first on even pairs and change first on odd ones. A block is:
+On each ``perfbench`` workload, read from this checkout's
+``perfbench/run.py`` (its scene shape, its ``train`` flags, each parsed by
+that side's own ``cli``), ``PAIRS`` pairs run one block per side, parent
+first on even pairs and change first on odd ones. A block is:
 
-- ``train`` for two epochs, as ``perfbench`` runs it, timed by the
-  ``train_seconds`` it reports (the epoch loop alone, not its test pass), as
-  ms per step;
+- ``train``, as ``perfbench`` runs it, timed by the ``train_seconds`` it
+  reports (the epoch loop alone, not its test pass), as ms per step;
 - ``predict_pixels`` of every scene pixel, in ms, with one checkpoint that
   PARENT trained, loaded by each side's ``load_model``.
 
@@ -47,13 +46,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-RATIO, NOISE, EPOCHS = 0.10, 0.05, 2
-SCENES = {  # rows, cols, bands, classes, patch size: perfbench's workloads
-    "train_small": (48, 48, 24, 4, 5),
-    "train_wide": (30, 30, 144, 15, 7),
-}
-MODEL = dict(hidden_dim=64, seq_kernel=3, spatial_channels=32, spatial_kernel=3,
-             classifier_hidden=128, activation="silu")
+sys.dont_write_bytecode = True  # no __pycache__ in either checkout, nor in perfbench
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run as perfbench  # noqa: E402  the workloads and train flags, read, not copied
+
+PAIRS = 10  # as many alternating pairs as a perfbench A/B comparison runs
 
 
 def load_checkout(root: Path, name: str) -> SimpleNamespace:
@@ -71,27 +68,28 @@ def load_checkout(root: Path, name: str) -> SimpleNamespace:
 
 
 class Side:
-    """One checkout's scene, split and configs for one scene shape."""
+    """One checkout's scene, split and configs for one ``perfbench`` workload."""
 
-    def __init__(self, pkg: SimpleNamespace, shape: str, seed: int):
-        rows, cols, bands, classes, p = SCENES[shape]
+    def __init__(self, pkg: SimpleNamespace, workload: str, seed: int):
+        w = perfbench.WORKLOADS[workload]
         self.pkg = pkg
-        cube, self.labels = pkg.data.synthesize_cube(rows, cols, bands, classes, NOISE, seed)
+        cube, self.labels = pkg.data.synthesize_cube(w.rows, w.cols, w.bands, w.classes,
+                                                     perfbench.NOISE, seed)
         self.cube = pkg.data.scale_bands(cube)
-        self.split = pkg.data.split_samples(self.labels, RATIO, seed)
-        self.model_config = pkg.model.ModelConfig(bands=bands, num_classes=classes,
-                                                  patch_size=p, **MODEL)
-        self.train_config = pkg.train.TrainConfig(batch_size=32, learning_rate=5e-4,
-                                                  epochs=EPOCHS, seed=seed, augment=True)
-        samples = len(self.split.train) * pkg.data.AUGMENT_VARIANTS
-        self.steps = EPOCHS * math.ceil(samples / 32)
-        self.pixels = np.argwhere(np.ones((rows, cols), dtype=bool))
+        flags = pkg.cli.build_parser().parse_args(["train", *perfbench.train_args(w, seed, "")])
+        run = pkg.cli._resolve_run_config(flags)
+        run.bands, run.num_classes = w.bands, self.labels.num_classes
+        self.split = pkg.data.split_samples(self.labels, run.ratio, run.split_seed)
+        self.model_config, self.train_config = run.model_config(), run.train_config()
+        samples = len(self.split.train) * (pkg.data.AUGMENT_VARIANTS if run.augment else 1)
+        self.steps_per_epoch = math.ceil(samples / run.batch_size)
+        self.pixels = np.argwhere(np.ones((w.rows, w.cols), dtype=bool))
         self.params = None
 
     def train(self):
         params, report = self.pkg.train.train(self.cube, self.labels, self.split,
                                               self.model_config, self.train_config)
-        return params, 1e3 * report.train_seconds / self.steps
+        return params, 1e3 * report.train_seconds / (report.epochs_run * self.steps_per_epoch)
 
     def predict_ms(self) -> float:
         start = time.perf_counter()
@@ -115,8 +113,8 @@ def _machine() -> dict:
             "numpy": np.__version__, "blas": blas}
 
 
-def run_scene(a: SimpleNamespace, b: SimpleNamespace, shape: str, args) -> dict:
-    sides = [Side(a, shape, args.seed), Side(b, shape, args.seed)]
+def run_scene(a: SimpleNamespace, b: SimpleNamespace, workload: str, seed: int) -> dict:
+    sides = [Side(a, workload, seed), Side(b, workload, seed)]
     trained, _ = sides[0].train()  # the shared checkpoint, and the warm-up
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "parent.ckpt"
@@ -127,7 +125,7 @@ def run_scene(a: SimpleNamespace, b: SimpleNamespace, shape: str, args) -> dict:
     for side in sides:
         side.predict_ms()
     times = {"train_step_ms": ([], []), "predict_scene_ms": ([], [])}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         for i in ((0, 1) if pair % 2 == 0 else (1, 0)):
             gc.collect()
             times["train_step_ms"][i].append(sides[i].train()[1])
@@ -142,19 +140,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     a = load_checkout(args.parent.resolve(), "ssnl_a")
     b = load_checkout(args.change.resolve(), "ssnl_b")
     a.cli._keep_heap()
     a.cli._one_blas_thread()
-    result = {"machine": _machine(), "pairs": args.pairs, "seed": args.seed, "scenes": {}}
-    for shape in SCENES:
-        result["scenes"][shape] = run_scene(a, b, shape, args)
-        print(f"{shape}: done", file=sys.stderr)
+    result = {"machine": _machine(), "pairs": PAIRS, "seed": args.seed, "scenes": {}}
+    for workload in perfbench.WORKLOADS:
+        result["scenes"][workload] = run_scene(a, b, workload, args.seed)
+        print(f"{workload}: done", file=sys.stderr)
     print(json.dumps(result))
     return 0
 

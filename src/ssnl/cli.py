@@ -14,9 +14,11 @@ repeated ``--set key=value`` flags, and the dedicated flags. A dedicated flag
 parser. Unknown keys are rejected; the resolved configuration is echoed into
 outputs for provenance.
 
-Exit codes: 0 success, 1 usage (two outputs naming one file too), 2 I/O or
-file format, 3 contract/shape (an allocation refused for want of memory too),
-4 numerical failure; a failed command leaves none of its outputs.
+Exit codes, each carried by its error class with its stderr label
+(``errors``; ``UsageError`` here): 0 success, 1 usage (two outputs naming one
+file too), 2 I/O or file format, 3 contract/shape (an allocation refused for
+want of memory too), 4 numerical failure; a failed command leaves none of its
+outputs.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from .data import (
     write_cube,
     write_labels,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    FormatError,
-    NumericalError,
-    ShapeError,
-)
+from .errors import ConfigError, NumericalError, ShapeError, SsnlError
 from .metrics import render_report
 from .model import ModelConfig, load_model, parse_field, predict_pixels, save_model
 from .render import render_class_map, write_ppm
@@ -67,7 +63,7 @@ _M_MMAP_THRESHOLD = -3
 
 
 class UsageError(Exception):
-    pass
+    exit_code, label = 1, "usage error"
 
 
 @dataclass
@@ -409,24 +405,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"file format error: {exc}", file=sys.stderr)
-        return 2
+    except (SsnlError, UsageError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, ContractError, ConfigError) as exc:
-        print(f"contract error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"contract error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, file/format
-problems exit 2, contract/shape violations exit 3, numerical failures exit 4.
+Each class carries the CLI's exit code for it and the label that starts its
+stderr line; a subclass inherits both unless it states its own.
 """
 
 
 class SsnlError(Exception):
     """Base class for all package errors."""
+    exit_code, label = 3, "contract error"
 
 
 class ShapeError(SsnlError):
@@ -23,6 +24,7 @@ class ContractError(SsnlError):
 
 class FormatError(SsnlError):
     """A file does not conform to its declared on-disk format."""
+    exit_code, label = 2, "file format error"
 
 
 class MagicError(FormatError):
@@ -39,3 +41,4 @@ class HeaderError(FormatError):
 
 class NumericalError(SsnlError):
     """A numerical invariant failed (non-finite value, failed check)."""
+    exit_code, label = 4, "numerical failure"

@@ -49,11 +49,12 @@ chain of the window stage depends only on the pixel and on the cell's
 boundary class, which of its neighbours lie inside its window: one rule for
 both convolutions (``_cell_classes``; at most 9 classes for the spatial conv
 and 5 for the sequence conv at kernel width 3). So it runs once per band
-pixel and class, one sum of shifted per-tap terms (``_class_table``). A
-window's mean then needs no gather: each class's table, shifted by each
-cell's offset, adds into one float64 sum per window, exact where the tables'
-magnitude range allows it and so bitwise ``ad.mean``; else each window is
-gathered for ``ad.mean`` (``_class_means``). Each run of windows is
+pixel and class, on one sum of shifted per-tap terms (``_class_table``).
+One routine per branch and band, ``_class_means``, takes the window means:
+each class's table, shifted by each cell's offset, adds into one float64 sum
+per window, exact where the tables' magnitude range allows it and so bitwise
+``ad.mean``, with no window gathered; else ``ad.mean`` takes each
+INFERENCE_CHUNK of gathered windows. Each run of INFERENCE_CHUNK windows is
 classified as one batch.
 
 Parameters live in one vector, ``ModelParams.flat``; each named tensor is a
@@ -73,6 +74,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import Field, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -371,66 +373,56 @@ def _cell_classes(p: int, width: int, neighbours) -> tuple[np.ndarray, list[tupl
     return np.array(cell_class), list(first)
 
 
-def _class_table(key: tuple, terms, kind: str, b: Tensor, tanh_after: bool) -> np.ndarray:
-    """One branch's table of the boundary class ``key``: each plane pixel sums,
-    from zeros in tap order, ``terms[m]`` (plane pixels, channels) at the key's
-    offset of tap m, skipping None; then the branch's state chain,
-    ``ad.activation(kind, sum, b, tanh_after)``."""
+def _class_table(key: tuple, terms) -> np.ndarray:
+    """The sums behind one branch's table of the boundary class ``key``: each
+    plane pixel sums, from zeros in tap order, ``terms[m]`` (plane pixels,
+    channels) at the key's offset of tap m, skipping None."""
     n = terms[0].shape[0]
     table = np.zeros(terms[0].shape, terms[0].dtype)
     for term, offset in zip(terms, key):
         if offset is not None:
             lo, hi = max(-offset, 0), n - max(offset, 0)
             table[lo:hi] += term[lo + offset:hi + offset]
-    return ad.activation(kind, table, b, tanh_after).data
+    return table
 
 
-def _window_sums(classes, terms, first: int, m: int, corner: np.ndarray, kind: str,
-                 b: Tensor, tanh_after: bool) -> np.ndarray | None:
-    """The float64 (m, channels) sums of one branch's windows at plane origins
-    ``first`` to ``first + m - 1``, ``corner`` a window's cell offsets, or None
-    where a sum may not be exact. Each cell's class table, shifted by the
-    cell's offset, is added into the sums, one table alive at a time. The sums
-    are exact in any order where ``ad._sum_is_exact`` holds over every value a
-    window reads: for class c, the table's one slice from c's least cell
-    offset to its greatest plus m."""
+def _class_means(classes, terms, origins: np.ndarray, corner: np.ndarray, chain) -> np.ndarray:
+    """One branch's (windows, channels) window means, bitwise ``ad.mean``'s.
+    ``origins`` holds the windows' plane origins, ascending. A window's cell at
+    offset ``corner[k]`` reads, at its plane pixel, its class's table: ``chain``
+    (the branch's state chain, giving a Tensor) of the ``_class_table``.
+
+    Float32 tables are built one at a time, each added, shifted by each of its
+    cells' offsets, into one float64 sum per plane origin from the first
+    window's to the last's. Where ``ad._sum_is_exact`` holds over every value a
+    window reads (for class c, the table's one slice from c's least cell offset
+    to its greatest plus the span), the sums are exact in any order, so their
+    means are ``ad.mean``'s. Else (float64, zeros, NaN, a wide range) any sums
+    are freed, the tables are built into one stack, and ``ad.mean`` takes each
+    INFERENCE_CHUNK of gathered windows, which bounds the gather's memory."""
     cell_class, keys = classes
-    sums, lo, hi = np.zeros((m, terms[0].shape[-1])), np.inf, 0.0
+    n, channels = terms[0].shape
+    first, m = origins[0], origins[-1] - origins[0] + 1
+    if terms[0].dtype == np.float32:
+        sums, lo, hi = np.zeros((m, channels)), np.inf, 0.0
+        for c, key in enumerate(keys):
+            table = chain(_class_table(key, terms)).data
+            offsets = first + corner[cell_class == c]
+            for offset in offsets:
+                sums += table[offset:offset + m]
+            read = np.abs(table[offsets[0]:offsets[-1] + m], out=table[offsets[0]:offsets[-1] + m])
+            lo, hi = np.minimum(lo, read.min()), np.maximum(hi, read.max())  # NaN stays
+            del table, read
+        if ad._sum_is_exact(lo, hi, corner.size):
+            return (sums[origins - first] / corner.size).astype(np.float32)
+        del sums
+    rows = np.empty((len(keys) * n, channels), terms[0].dtype)
     for c, key in enumerate(keys):
-        table = _class_table(key, terms, kind, b, tanh_after)
-        offsets = first + corner[cell_class == c]
-        for offset in offsets:
-            sums += table[offset:offset + m]
-        read = np.abs(table[offsets[0]:offsets[-1] + m], out=table[offsets[0]:offsets[-1] + m])
-        lo, hi = np.minimum(lo, read.min()), np.maximum(hi, read.max())  # NaN stays
-        del table, read
-    return sums if ad._sum_is_exact(lo, hi, corner.size) else None
-
-
-def _class_means(classes, terms, origins: list[np.ndarray], corner: np.ndarray, kind: str,
-                 b: Tensor, tanh_after: bool) -> list[np.ndarray]:
-    """Each run's window means of one branch, bitwise ``ad.mean``'s: ``origins``
-    holds each run's window origins in the plane, ascending, and a window's
-    cell at offset ``corner[k]`` reads its class's table (``_class_table``) at
-    its plane pixel.
-
-    Float32 tables take the exact float64 sums of ``_window_sums``, whose
-    means are ``ad.mean``'s. Where there are none (float64, zeros, NaN, a
-    wide range), the tables are built again into one stack, and each run
-    gathers its windows' cells and takes ``ad.mean``."""
-    first = origins[0][0]
-    sums = (_window_sums(classes, terms, first, origins[-1][-1] - first + 1, corner, kind, b,
-                         tanh_after) if terms[0].dtype == np.float32 else None)
-    if sums is not None:
-        means = (sums / corner.size).astype(np.float32)
-        return [means[run - first] for run in origins]
-    cell_class, keys = classes
-    n = terms[0].shape[0]
-    rows = np.empty((len(keys) * n, terms[0].shape[-1]), terms[0].dtype)
-    for c, key in enumerate(keys):
-        rows[c * n:(c + 1) * n] = _class_table(key, terms, kind, b, tanh_after)
-    return [ad.mean(rows[cell_class * n + run[:, None] + corner], axis=-2).data
-            for run in origins]
+        rows[c * n:(c + 1) * n] = chain(_class_table(key, terms)).data
+    cells = cell_class * n + corner
+    return np.concatenate([
+        ad.mean(rows[origins[i:i + INFERENCE_CHUNK, None] + cells], axis=-2).data
+        for i in range(0, origins.size, INFERENCE_CHUNK)])
 
 
 def predict_pixels(cube: HsiCube, coords, params: ModelParams,
@@ -454,10 +446,12 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
     alive at a time. Both convolutions are one sum over the band plane of
     per-tap terms, shifted by each kept tap's flat plane offset: the spatial
     conv's per-tap channel mix, and each direction's projection times each
-    kernel tap. A window's mean adds its cells' table entries, in one exact
-    float64 sum per window where the table values allow it, else by
-    ``ad.mean`` of the gathered window (``_class_means``); each run holding
-    a requested pixel is classified as one batch. The kept taps of a cell
+    kernel tap. One ``_class_means`` call per branch takes the means of the
+    band's wanted windows: a window adds its cells' table entries, in one
+    exact float64 sum per window where the table values allow it, else
+    ``ad.mean`` takes each INFERENCE_CHUNK of gathered windows. The two
+    directions' means add once per band, and each run holding a requested
+    pixel is classified as one batch. The kept taps of a cell
     that a window reads lie inside that window, so inside the plane: the cell
     sums the same products in the same order as ``model_forward``'s
     convolutions, and the probabilities are bitwise those of the window stage
@@ -500,13 +494,14 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                     if config.spatial_on else None)
             projected = [x_norm @ proj.data for proj, _, _ in directions]
             del x_norm
-            runs = [np.arange(c * chunk, min((c + 1) * chunk, ids.size)) for c in band_chunks]
-            origins = [(run // cols - top) * width + run % cols for run in runs]
+            pixels = (band_chunks[:, None] * chunk + np.arange(chunk)).ravel()
+            pixels = pixels[pixels < ids.size]
+            origins = (pixels // cols - top) * width + pixels % cols
             parts = []
             if taps is not None:
                 terms = taps.reshape(len(taps), -1, taps.shape[-1]).transpose(1, 0, 2)
-                parts.append(_class_means(spatial, terms, origins, corner, config.activation,
-                                          params.spatial_bias, tanh_after=False))
+                parts.append(_class_means(spatial, terms, origins, corner, partial(
+                    ad.activation, config.activation, b=params.spatial_bias)))
                 del taps, terms
             if directions:
                 # (k, plane pixels, hidden) terms; a contiguous copy of the
@@ -514,12 +509,13 @@ def predict_pixels(cube: HsiCube, coords, params: ModelParams,
                 # projection goes once its terms are made
                 means = [_class_means(sequence, projected.pop(0)
                                       * np.ascontiguousarray(kernel.data.T)[:, None],
-                                      origins, corner, config.activation, modulation,
-                                      tanh_after=True)
+                                      origins, corner, partial(ad.activation, config.activation,
+                                                               b=modulation, tanh_after=True))
                          for _, kernel, modulation in directions]
-                parts.append(means[0] if len(means) == 1 else list(map(ad.add, *means)))
-            for i, run in enumerate(runs):
-                ids[run] = _class_ids(_classify([part[i] for part in parts], params, config)[0])
+                parts.append(sum(means[1:], means[0]))
+            for i in range(0, pixels.size, chunk):
+                ids[pixels[i:i + chunk]] = _class_ids(
+                    _classify([part[i:i + chunk] for part in parts], params, config)[0])
     return ids[flat]
 
 

@@ -121,7 +121,7 @@ def _mix_seed(*values: int) -> int:
 
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
-              config: TrainConfig) -> tuple[ModelParams, AdamState]:
+              config: TrainConfig) -> None:
     """One Adam update of ``params.flat`` in place, from the matching flat
     gradient (``params.flat_grad()``)."""
     finite = np.isfinite(grad)
@@ -140,7 +140,6 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState,
     v_hat = state.v / bias2
     params.flat -= (config.learning_rate * m_hat /
                     (np.sqrt(v_hat) + config.adam_eps)).astype(params.dtype)
-    return params, state
 
 
 def _clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
@@ -232,16 +231,17 @@ def train(cube: HsiCube, labels: LabelRaster, split: SplitSpec,
     return params, report
 
 
-def gradient_check_model(config: ModelConfig, seed: int, step: float = 1e-5) -> float:
-    """End-to-end 64-bit gradient check of the cross-entropy loss against
-    central finite differences over every parameter; returns the worst
-    relative error.
+# The finite-difference step of gradient_check_model. It balances truncation
+# against cancellation noise for a loss-scale objective: at 1e-6 the
+# difference quotient loses ~5e-11 absolute to rounding, which swamps the
+# relative error of coordinates whose true gradient is ~1e-6.
+GRADCHECK_STEP = 1e-5
 
-    The default step balances truncation against cancellation noise for a
-    loss-scale objective: at 1e-6 the difference quotient loses ~5e-11
-    absolute to rounding, which swamps the relative error of coordinates
-    whose true gradient is ~1e-6.
-    """
+
+def gradient_check_model(config: ModelConfig, seed: int) -> float:
+    """End-to-end 64-bit gradient check of the cross-entropy loss against
+    central finite differences (step ``GRADCHECK_STEP``) over every
+    parameter; returns the worst relative error."""
     params = init_model(config, seed, dtype=np.float64)
     rng = np.random.default_rng(_mix_seed(seed, 1))
     patch = rng.standard_normal(
@@ -254,7 +254,7 @@ def gradient_check_model(config: ModelConfig, seed: int, step: float = 1e-5) -> 
         _, logits = model_forward(patch, params, config)
         return cross_entropy(logits, label)
 
-    return ad.grad_check(fn, [t for _, t in params.named_tensors()], step=step)
+    return ad.grad_check(fn, [t for _, t in params.named_tensors()], step=GRADCHECK_STEP)
 
 
 def evaluate(params: ModelParams, config: ModelConfig, cube: HsiCube,

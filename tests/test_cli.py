@@ -19,8 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ssnl.cli import RunConfig, _resolve_run_config, main
+from ssnl import cli
+from ssnl.cli import RunConfig, UsageError, _resolve_run_config, main
 from ssnl.data import load_cube, load_labels, synthesize_cube, write_cube, write_labels
+from ssnl.errors import FormatError, NumericalError, SsnlError
 from ssnl.model import ModelConfig
 from ssnl.train import TrainConfig
 from ssnl.render import class_color, class_palette, render_class_map, write_ppm
@@ -785,6 +787,34 @@ def test_complexity_batch_doubles_flops_line(capsys):
 def test_complexity_rejects_batch_zero(capsys):
     assert main(["complexity", "--batch", "0"]) == 3
     assert capsys.readouterr().err == "contract error: batch must be at least 1, got 0\n"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the exit codes and labels of the CLI docstring, most specific family first
+_DOCUMENTED_EXITS = [(UsageError, 1, "usage error"), (FormatError, 2, "file format error"),
+                     (NumericalError, 4, "numerical failure"), (SsnlError, 3, "contract error")]
+
+
+@pytest.mark.parametrize("error", sorted([UsageError, *_subclasses(SsnlError)],
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_an_error_raised_inside_a_command_exits_with_its_documented_code(monkeypatch, capsys,
+                                                                         error):
+    code, label = next((code, label) for family, code, label in _DOCUMENTED_EXITS
+                       if issubclass(error, family))
+
+    def failing(*args, **kwargs):
+        raise error("raised inside the command")
+
+    monkeypatch.setattr(cli, "render_complexity_report", failing)
+    assert main(["complexity"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{label}: raised inside the command\n"   # one line, no traceback
 
 
 def test_gradcheck_default_passes(capsys):

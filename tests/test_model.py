@@ -808,8 +808,9 @@ def test_predict_pixels_sums_float32_window_means_exactly(monkeypatch, zero_chan
     # a float32 whole-scene call adds each branch's class tables into float64
     # window sums, exact on their narrow magnitude range, so it calls ad.mean
     # zero times; a channel held at exactly zero in every branch's tables
-    # fails the range test, so every branch gathers its windows for ad.mean.
-    # Both give the per-window stage's probabilities bitwise
+    # fails the range test, so every branch gathers its windows for ad.mean,
+    # each window once, at most INFERENCE_CHUNK windows a call. Both give the
+    # per-window stage's probabilities bitwise
     cfg = small_config(patch_size=5, hidden_dim=6)
     params = init_model(cfg, seed=81)
     rng = np.random.default_rng(82)
@@ -822,6 +823,8 @@ def test_predict_pixels_sums_float32_window_means_exactly(monkeypatch, zero_chan
     predict_pixels(cube, np.argwhere(np.ones((9, 43), dtype=bool)), params, cfg)
     assert summed == [not zero_channel] * 6   # three branches, two bands
     assert bool(means) == zero_channel
+    assert all(shape[0] <= model_module.INFERENCE_CHUNK for shape in means)
+    assert sum(shape[0] for shape in means) == (3 * 9 * 43 if zero_channel else 0)
     expected = _per_window_stage(cube, params, cfg)
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):

@@ -24,7 +24,9 @@ first on even pairs and change first on odd ones. A block is:
 One untimed block per side comes first. The last line of standard output is
 a JSON object: the machine, then per scene and metric each side's median and
 quartiles (``statistics.quantiles``, n = 4) and ``change_wins``, the pairs in
-which the change took less time. Nothing in either checkout is written.
+which the change took less time, and per scene ``ids_equal``: whether both
+sides' whole-scene class ids, from the untimed block, are byte-identical.
+Nothing in either checkout is written.
 """
 
 from __future__ import annotations
@@ -91,10 +93,12 @@ class Side:
                                               self.model_config, self.train_config)
         return params, 1e3 * report.train_seconds / (report.epochs_run * self.steps_per_epoch)
 
-    def predict_ms(self) -> float:
+    def predict(self) -> tuple[float, np.ndarray]:
+        """The ms that ``predict_pixels`` took on the whole scene, and its class ids."""
         start = time.perf_counter()
-        self.pkg.model.predict_pixels(self.cube, self.pixels, self.params, self.model_config)
-        return 1e3 * (time.perf_counter() - start)
+        ids = self.pkg.model.predict_pixels(self.cube, self.pixels, self.params,
+                                            self.model_config)
+        return 1e3 * (time.perf_counter() - start), ids
 
 
 def _stats(values: list[float]) -> dict:
@@ -122,18 +126,19 @@ def run_scene(a: SimpleNamespace, b: SimpleNamespace, workload: str, seed: int) 
         for side in sides:
             side.params = side.pkg.model.load_model(path)[0]
     sides[1].train()
-    for side in sides:
-        side.predict_ms()
+    ids = [side.predict()[1] for side in sides]
     times = {"train_step_ms": ([], []), "predict_scene_ms": ([], [])}
     for pair in range(PAIRS):
         for i in ((0, 1) if pair % 2 == 0 else (1, 0)):
             gc.collect()
             times["train_step_ms"][i].append(sides[i].train()[1])
             gc.collect()
-            times["predict_scene_ms"][i].append(sides[i].predict_ms())
-    return {metric: {"parent": _stats(pa), "change": _stats(ch),
-                     "change_wins": sum(c < p for p, c in zip(pa, ch))}
-            for metric, (pa, ch) in times.items()}
+            times["predict_scene_ms"][i].append(sides[i].predict()[0])
+    result = {metric: {"parent": _stats(pa), "change": _stats(ch),
+                       "change_wins": sum(c < p for p, c in zip(pa, ch))}
+              for metric, (pa, ch) in times.items()}
+    result["ids_equal"] = ids[0].dtype == ids[1].dtype and ids[0].tobytes() == ids[1].tobytes()
+    return result
 
 
 def main(argv=None) -> int:

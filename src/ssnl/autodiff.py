@@ -47,8 +47,8 @@ is one. ``softmax`` is a function of data, not a node.
 ``mean`` is exact, so it is order-invariant: each slot is summed in float64,
 directly where that sum is provably exact (float32 input of a narrow
 magnitude range), else after sorting. The logistic sigmoid in silu and in the
-``softplus`` gradient is computed from one ``exp(-|x|)``, which cannot
-overflow; ``softplus`` keeps the one its forward pass computed.
+``softplus`` gradient is ``0.5 * tanh(0.5 * x) + 0.5``: four elementwise passes
+over one new array, with no exp to overflow.
 """
 
 from __future__ import annotations
@@ -363,43 +363,69 @@ def conv2d(x, kernels) -> Tensor:
 # -- the model's input and activations ------------------------------------------
 
 
-def _sigmoid(d: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # one exp that never overflows, e = exp(-|d|) (passed in when the caller
-    # has it): 1/(1+e) for d >= 0, where max(e, 1) is 1, and e/(1+e) below
-    if e is None:
-        e = np.exp(-np.abs(d))
-    return np.maximum(e, d >= 0) / (1.0 + e)
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    # 0.5 * tanh(0.5 * d) + 0.5: four passes over one new array, and no exp
+    # to overflow
+    s = np.multiply(d, 0.5, out=np.empty_like(d))
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def _act(kind: str, d: np.ndarray) -> np.ndarray:
-    return d * _sigmoid(d) if kind == "silu" else np.tanh(d)
+    """silu or tanh of ``d``, in one new array."""
+    if kind == "tanh":
+        return np.tanh(d, out=np.empty_like(d))
+    s = _sigmoid(d)
+    s *= d
+    return s
 
 
 def _slope(kind: str, d: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation's slope at its input ``d``; tanh's from its output ``out`` if given."""
+    """The activation's slope at its input ``d``, in one new array; tanh's
+    from its output ``out`` if given."""
     if kind == "silu":
         s = _sigmoid(d)
-        return s * (1.0 + d * (1.0 - s))
+        slope = np.subtract(1.0, s)  # s * (1 + d * (1 - s))
+        slope *= d
+        slope += 1.0
+        slope *= s
+        return slope
     t = np.tanh(d) if out is None else out
-    return 1.0 - t * t
+    sq = np.multiply(t, t, out=np.empty_like(t))
+    return np.subtract(1.0, sq, out=sq)
 
 
 def activation(kind: str, x, b, tanh_after: bool = False) -> Tensor:
     """The named nonlinearity (``silu`` or ``tanh``) with a bias ``b`` over
     the trailing axes, as one node: ``act(x + b)``, or ``tanh(act(x) + b)``
     with ``tanh_after``. It keeps only ``x`` and its output, and backward
-    recomputes the slope."""
+    recomputes the slope. Every pass after a first writes into an array the
+    node allocated: never into ``x``, the output, the incoming gradient or an
+    array already passed on."""
     if kind not in ("silu", "tanh"):
         raise ConfigError(f"unknown activation kind {kind!r}; expected silu or tanh")
     x, b = _coerce(x), _coerce(b)
-    _check_trailing("activation", x, b)
-    out_data = np.tanh(_act(kind, x.data) + b.data) if tanh_after else _act(kind, x.data + b.data)
+    if x.shape[x.ndim - b.ndim:] != b.shape:  # the output is x's shape
+        raise ShapeError(f"activation bias {b.shape} is not the trailing axes of {x.shape}")
+    if tanh_after:
+        out_data = _act(kind, x.data)
+        out_data += b.data
+        np.tanh(out_data, out=out_data)
+    else:
+        out_data = _act(kind, x.data + b.data)
 
     def backprop(g):
-        g = g * (_slope("tanh", None, out_data) if tanh_after
-                 else _slope(kind, x.data + b.data, out_data))
-        _accum(b, _lead_reduce(g, b.shape))
-        _accum(x, g * _slope(kind, x.data) if tanh_after else g)
+        gs = (_slope("tanh", None, out_data) if tanh_after
+              else _slope(kind, x.data + b.data, out_data))
+        gs *= g
+        _accum(b, _lead_reduce(gs, b.shape))
+        if tanh_after:  # into the new slope, not gs, which b's grad may now be
+            slope = _slope(kind, x.data)
+            slope *= gs
+            gs = slope
+        _accum(x, gs)
 
     return _make(out_data, (x, b), backprop)
 
@@ -407,11 +433,10 @@ def activation(kind: str, x, b, tanh_after: bool = False) -> Tensor:
 def softplus(x) -> Tensor:
     """log(1 + exp(x)), evaluated stably; maps any real to a positive value."""
     x = _coerce(x)
-    e = np.exp(-np.abs(x.data))
-    out_data = np.maximum(x.data, 0.0) + np.log1p(e)
+    out_data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def backprop(g):
-        _accum(x, g * _sigmoid(x.data, e))
+        _accum(x, g * _sigmoid(x.data))
 
     return _make(out_data, (x,), backprop)
 
@@ -497,8 +522,8 @@ def mean(x, axis=None) -> Tensor:
     out_data = np.asarray(total / count, dtype=x.dtype)
 
     def backprop(g):
-        expanded = np.expand_dims(g, axes) if g.ndim else g
-        _accum(x, (np.broadcast_to(expanded, x.shape) / count).astype(x.dtype))
+        # a read-only view: the quotient is cast on the small array, not spread
+        _accum(x, np.broadcast_to(np.expand_dims((g / count).astype(x.dtype), axes), x.shape))
 
     return _make(out_data, (x,), backprop)
 

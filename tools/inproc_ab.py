@@ -21,12 +21,14 @@ first on even pairs and change first on odd ones. A block is:
 - ``predict_pixels`` of every scene pixel, in ms, with one checkpoint that
   PARENT trained, loaded by each side's ``load_model``.
 
-One untimed block per side comes first. The last line of standard output is
-a JSON object: the machine, then per scene and metric each side's median and
-quartiles (``statistics.quantiles``, n = 4) and ``change_wins``, the pairs in
-which the change took less time, and per scene ``ids_equal``: whether both
-sides' whole-scene class ids, from the untimed block, are byte-identical.
-Nothing in either checkout is written.
+One untimed block per side comes first, its ``train`` under tracemalloc. The
+last line of standard output is a JSON object: the machine, then per scene
+and metric each side's median and quartiles (``statistics.quantiles``, n = 4)
+and ``change_wins``, the pairs in which the change took less time. Per scene
+it also gives, from the untimed block, ``ids_equal``: whether both sides'
+whole-scene class ids are byte-identical; ``params_equal``: whether both
+sides' trained ``params.flat`` are; and ``train_peak_bytes``: each side's
+tracemalloc peak over its ``train``. Nothing in either checkout is written.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -117,15 +120,24 @@ def _machine() -> dict:
             "numpy": np.__version__, "blas": blas}
 
 
+def _traced_train(side: Side) -> tuple[object, int]:
+    """One untimed ``train``: its parameters and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        params = side.train()[0]
+        return params, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_scene(a: SimpleNamespace, b: SimpleNamespace, workload: str, seed: int) -> dict:
     sides = [Side(a, workload, seed), Side(b, workload, seed)]
-    trained, _ = sides[0].train()  # the shared checkpoint, and the warm-up
-    with tempfile.TemporaryDirectory() as tmp:
+    (trained, parent_peak), (changed, change_peak) = map(_traced_train, sides)  # the warm-up
+    with tempfile.TemporaryDirectory() as tmp:  # the shared checkpoint, PARENT's
         path = Path(tmp) / "parent.ckpt"
         a.model.save_model(path, trained, sides[0].model_config)
         for side in sides:
             side.params = side.pkg.model.load_model(path)[0]
-    sides[1].train()
     ids = [side.predict()[1] for side in sides]
     times = {"train_step_ms": ([], []), "predict_scene_ms": ([], [])}
     for pair in range(PAIRS):
@@ -138,6 +150,9 @@ def run_scene(a: SimpleNamespace, b: SimpleNamespace, workload: str, seed: int) 
                        "change_wins": sum(c < p for p, c in zip(pa, ch))}
               for metric, (pa, ch) in times.items()}
     result["ids_equal"] = ids[0].dtype == ids[1].dtype and ids[0].tobytes() == ids[1].tobytes()
+    result["params_equal"] = (trained.flat.dtype == changed.flat.dtype
+                              and trained.flat.tobytes() == changed.flat.tobytes())
+    result["train_peak_bytes"] = {"parent": parent_peak, "change": change_peak}
     return result
 
 
